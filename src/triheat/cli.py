@@ -82,15 +82,15 @@ def _load_state(path):
     raise ValueError(f"state file must end in .csv or .obj, got {path!r}")
 
 
-def _save_state(state, path) -> None:
-    if isinstance(state, TriangleMesh):
+def _save_state(state, path, add_suffix=False) -> None:
+    """Write OBJ for a mesh, coefficient CSV otherwise; optionally add the suffix."""
+    is_mesh = isinstance(state, TriangleMesh)
+    if add_suffix:
+        path += ".obj" if is_mesh else ".csv"
+    if is_mesh:
         save_obj(state, path)
     else:
         spherical.write_coeffs_csv(state.radius_field(), path)
-
-
-def _state_suffix(state) -> str:
-    return ".obj" if isinstance(state, TriangleMesh) else ".csv"
 
 
 def _cmd_simulate(args) -> int:
@@ -119,7 +119,7 @@ def _cmd_simulate(args) -> int:
     dt = None if cfg.dt_policy == "auto" else cfg.dt_value
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _save_state(state, os.path.join(cfg.out_dir, "state_initial" + _state_suffix(state)))
+    _save_state(state, os.path.join(cfg.out_dir, "state_initial"), add_suffix=True)
 
     t0 = _time.perf_counter()
     traj = flow.run(
@@ -135,10 +135,12 @@ def _cmd_simulate(args) -> int:
 
     diagnostics.write_csv(traj.records, os.path.join(cfg.out_dir, "diagnostics.csv"))
     final = traj.final_state
-    _save_state(final, os.path.join(cfg.out_dir, "state_final" + _state_suffix(final)))
+    _save_state(final, os.path.join(cfg.out_dir, "state_final"), add_suffix=True)
     with open(os.path.join(cfg.out_dir, "run.meta"), "w") as fh:
         fh.write(format_config(cfg))
         fh.write(f"run.stop_reason = {traj.stop_reason}\n")
+        if "stop_detail" in traj.meta:
+            fh.write(f"run.stop_detail = {traj.meta['stop_detail']}\n")
         fh.write(f"run.steps = {traj.meta['steps']}\n")
         fh.write(f"run.halvings = {traj.meta['halvings']}\n")
         fh.write(f"run.dt_final = {traj.meta['dt_final']:.17g}\n")

@@ -130,96 +130,79 @@ def read_csv(path):
 
 
 # -- per-backend assembly ----------------------------------------------------
+# One function per backend for every field but alpha, one for alpha (most
+# of a record's cost); every query below reads from these.
 
 
-def _record_spectral(state: RadialGraphState, radius: float) -> DiagnosticsRecord:
+def _spectral_fields(state: RadialGraphState) -> dict:
     b = radial.curvature_bundle(state)
-    H, w1, w2 = radial.laplacian_chain(state)
-    grid = state.grid
-    w1_field = SphericalField(grid, values=w1)
-    grad_dh2 = radial.integrate(state, radial.gradient_norm_sq(state, w1_field))
+    _, w1, w2 = radial.laplacian_chain(state)
+    grad_w1 = radial.gradient_norm_sq(state, SphericalField(state.grid, values=w1))
+    return {
+        "area": radial.area(state),
+        "volume": radial.volume(state),
+        "willmore": 0.25 * radial.integrate(state, b.mean**2),
+        "ao2": radial.integrate(state, b.norm_ao_sq),
+        "int_gauss": radial.integrate(state, b.gauss),
+        "dh2": radial.integrate(state, w1**2),
+        "grad_dh2": radial.integrate(state, grad_w1),
+        "ao_inf": float(np.sqrt(b.norm_ao_sq.max())),
+        "gap_residual": float(np.abs(w2).max()),
+    }
+
+
+def _spectral_alpha(state: RadialGraphState, radius: float) -> float:
+    b = radial.curvature_bundle(state)
     pts, wts = radial.node_cloud(state)
-    alpha = mesh_mod.max_ball_sum(pts, pts, b.norm_a_sq.ravel() * wts, radius)
-    return DiagnosticsRecord(
-        time=state.time,
-        area=radial.area(state),
-        volume=radial.volume(state),
-        willmore=0.25 * radial.integrate(state, b.mean**2),
-        ao2=radial.integrate(state, b.norm_ao_sq),
-        int_gauss=radial.integrate(state, b.gauss),
-        dh2=radial.integrate(state, w1**2),
-        grad_dh2=grad_dh2,
-        ao_inf=float(np.sqrt(b.norm_ao_sq.max())),
-        gap_residual=float(np.abs(w2).max()),
-        alpha=alpha,
-        backend="spectral",
-    )
+    return mesh_mod.max_ball_sum(pts, pts, b.norm_a_sq.ravel() * wts, radius)
 
 
-def _record_mesh(m: TriangleMesh, radius: float) -> DiagnosticsRecord:
-    W, M = mesh_mod.build_operators(m)
-    H = mesh_mod.mean_curvature(m)
-    K = mesh_mod.gauss_curvature(m)
+def _mesh_fields(m: TriangleMesh) -> dict:
+    _, M = mesh_mod.build_operators(m)
+    H, w1, w2 = mesh_mod.laplacian_chain(m)
     ao2, _ = mesh_mod.tracefree_norm_sq(m)
-    w1 = (W @ H) / M
-    w2 = (W @ w1) / M
-    return DiagnosticsRecord(
-        time=m.time,
-        area=mesh_mod.area(m),
-        volume=mesh_mod.signed_volume(m),
-        willmore=0.25 * float(M @ (H * H)),
-        ao2=float(M @ ao2),
-        int_gauss=float(M @ K),
-        dh2=float(M @ (w1 * w1)),
-        grad_dh2=mesh_mod.dirichlet_energy(m, w1),
-        ao_inf=float(np.sqrt(ao2.max())),
-        gap_residual=float(np.abs(w2).max()),
-        alpha=mesh_mod.concentration(m, radius),
-        backend="mesh",
-    )
+    return {
+        "area": mesh_mod.area(m),
+        "volume": mesh_mod.signed_volume(m),
+        "willmore": 0.25 * float(M @ (H * H)),
+        "ao2": float(M @ ao2),
+        "int_gauss": float(M @ mesh_mod.gauss_curvature(m)),
+        "dh2": float(M @ (w1 * w1)),
+        "grad_dh2": mesh_mod.dirichlet_energy(m, w1),
+        "ao_inf": float(np.sqrt(ao2.max())),
+        "gap_residual": float(np.abs(w2).max()),
+    }
+
+
+def _backend(state):
+    """(backend name, fields function, alpha function) for a state."""
+    if isinstance(state, RadialGraphState):
+        return "spectral", _spectral_fields, _spectral_alpha
+    if isinstance(state, TriangleMesh):
+        return "mesh", _mesh_fields, mesh_mod.concentration
+    raise TypeError(f"no diagnostics for {type(state).__name__}")
 
 
 def compute_record(state, concentration_radius: float = 0.25) -> DiagnosticsRecord:
     """Full diagnostics for a radial-graph state or a triangle mesh."""
-    if isinstance(state, RadialGraphState):
-        return _record_spectral(state, concentration_radius)
-    if isinstance(state, TriangleMesh):
-        return _record_mesh(state, concentration_radius)
-    raise TypeError(f"no diagnostics for {type(state).__name__}")
+    name, fields, alpha = _backend(state)
+    return DiagnosticsRecord(
+        time=state.time,
+        **fields(state),
+        alpha=alpha(state, concentration_radius),
+        backend=name,
+    )
 
 
 def energies(state) -> dict:
-    """Area, volume, Willmore and tracefree energies only (cheap subset)."""
-    if isinstance(state, RadialGraphState):
-        b = radial.curvature_bundle(state)
-        return {
-            "area": radial.area(state),
-            "volume": radial.volume(state),
-            "willmore": 0.25 * radial.integrate(state, b.mean**2),
-            "ao2": radial.integrate(state, b.norm_ao_sq),
-        }
-    if isinstance(state, TriangleMesh):
-        _, M = mesh_mod.build_operators(state)
-        H = mesh_mod.mean_curvature(state)
-        ao2, _ = mesh_mod.tracefree_norm_sq(state)
-        return {
-            "area": mesh_mod.area(state),
-            "volume": mesh_mod.signed_volume(state),
-            "willmore": 0.25 * float(M @ (H * H)),
-            "ao2": float(M @ ao2),
-        }
-    raise TypeError(f"no diagnostics for {type(state).__name__}")
+    """Area, volume, Willmore and tracefree energies, as in a record."""
+    f = _backend(state)[1](state)
+    return {k: f[k] for k in ("area", "volume", "willmore", "ao2")}
 
 
 def concentration(state, radius: float) -> float:
     """Curvature concentration sup_x int_{B(x, r)} |A|^2 d mu."""
-    if isinstance(state, TriangleMesh):
-        return mesh_mod.concentration(state, radius)
-    if isinstance(state, RadialGraphState):
-        b = radial.curvature_bundle(state)
-        pts, wts = radial.node_cloud(state)
-        return mesh_mod.max_ball_sum(pts, pts, b.norm_a_sq.ravel() * wts, radius)
-    raise TypeError(f"no diagnostics for {type(state).__name__}")
+    return _backend(state)[2](state, radius)
 
 
 def gap_residual(state):
@@ -228,18 +211,8 @@ def gap_residual(state):
     Both vanish exactly on round spheres; away from them the pair
     measures the distance to stationarity in sup and energy norms.
     """
-    if isinstance(state, RadialGraphState):
-        _, w1, w2 = radial.laplacian_chain(state)
-        field = SphericalField(state.grid, values=w1)
-        energy = radial.integrate(state, radial.gradient_norm_sq(state, field))
-        return float(np.abs(w2).max()), energy
-    if isinstance(state, TriangleMesh):
-        W, M = mesh_mod.build_operators(state)
-        H = mesh_mod.mean_curvature(state)
-        w1 = (W @ H) / M
-        w2 = (W @ w1) / M
-        return float(np.abs(w2).max()), mesh_mod.dirichlet_energy(state, w1)
-    raise TypeError(f"no diagnostics for {type(state).__name__}")
+    f = _backend(state)[1](state)
+    return f["gap_residual"], f["grad_dh2"]
 
 
 def codazzi_residual(state) -> float:

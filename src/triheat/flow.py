@@ -3,11 +3,11 @@
 The spectral stepper treats the constant-coefficient part of the
 linearization about the current mean sphere implicitly, which removes
 the bandlimit^6 step-size barrier; its update keeps round spheres fixed
-to the last bit and conserves enclosed volume to rounding over long
-runs. The mesh stepper is explicit with step rejection: a step whose
-largest vertex displacement exceeds half the minimum edge length, or
-which degenerates a face, is retried with half the step until it fits
-or the step budget runs out.
+to the last bit. The enclosed volume drifts by an O(dt) splitting error,
+quadratic in the perturbation amplitude. The mesh stepper is explicit
+with step rejection: a step whose largest vertex displacement exceeds
+half the minimum edge length, or which degenerates a face, is retried
+with half the step until it fits or the step budget runs out.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import diagnostics, mesh as mesh_mod, radial
 from .diagnostics import DiagnosticsRecord
 from .mesh import TriangleMesh
-from .radial import RadialGraphState
+from .radial import ChartError, RadialGraphState
 from .spherical import transform_for
 
 __all__ = [
@@ -73,7 +73,7 @@ def step_spectral(state: RadialGraphState, dt: float) -> RadialGraphState:
     With v the full nonlinear radial velocity and Lhat the diagonal
     linearization about the mean sphere, the update is
     c' = c + dt vhat / (1 - dt Lhat), whose denominator is at least one
-    because every Lhat eigenvalue is nonpositive. Raises ValueError if
+    because every Lhat eigenvalue is nonpositive. Raises ChartError if
     the stepped surface leaves the star-shaped chart.
     """
     if dt <= 0.0:
@@ -93,15 +93,12 @@ def step_mesh(m: TriangleMesh, dt: float) -> TriangleMesh:
     """One explicit Euler step of the vertex positions."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    W, M = mesh_mod.build_operators(m)
-    H = mesh_mod.mean_curvature(m)
-    w1 = (W @ H) / M
-    w2 = (W @ w1) / M
+    _, _, w2 = mesh_mod.laplacian_chain(m)
     vel = -w2[:, None] * mesh_mod.vertex_normals(m)
     return TriangleMesh(m.vertices + dt * vel, m.faces, time=m.time + dt)
 
 
-def _mesh_step_ok(old: TriangleMesh, new: TriangleMesh, dt: float) -> bool:
+def _mesh_step_ok(old: TriangleMesh, new: TriangleMesh) -> bool:
     if not np.all(np.isfinite(new.vertices)):
         return False
     disp = np.linalg.norm(new.vertices - old.vertices, axis=1).max()
@@ -126,7 +123,8 @@ class Trajectory:
     ``stop_reason`` is 'converged' (sup |A*| fell below the stop
     threshold at a record), 't_end' (final time reached) or 'singular'
     (the state left its chart or step rejection exhausted its budget;
-    the last valid state is kept as the final entry).
+    the last valid state is kept as the final entry, and
+    ``meta["stop_detail"]`` says at which time and why).
     """
 
     entries: list = field(default_factory=list)
@@ -161,10 +159,13 @@ def run(
     is only checked at records. The last partial step is clipped so a
     't_end' run finishes exactly at the requested time.
     """
-    is_mesh = isinstance(state, TriangleMesh)
-    if is_mesh:
+    if isinstance(state, TriangleMesh):
         state.validate()
-    elif not isinstance(state, RadialGraphState):
+        name, step, step_ok = "mesh", step_mesh, _mesh_step_ok
+    elif isinstance(state, RadialGraphState):
+        # the implicit update is stable at any dt; chart exits raise
+        name, step, step_ok = "spectral", step_spectral, lambda old, new: True
+    else:
         raise TypeError(f"no stepper for {type(state).__name__}")
     if t_end <= state.time:
         raise ValueError("t_end must exceed the state's current time")
@@ -178,6 +179,7 @@ def run(
     traj = Trajectory()
     halvings = 0
     steps = 0
+    detail = None
 
     def record(st) -> DiagnosticsRecord:
         rec = diagnostics.compute_record(st, concentration_radius)
@@ -192,36 +194,27 @@ def run(
         while True:
             remaining = t_end - state.time
             if remaining <= 1e-12 * max(t_end, dt):
-                if since_record:
-                    record(state)
                 traj.stop_reason = "t_end"
                 break
-            dt_step = min(dt, remaining)
-            if is_mesh:
-                new = step_mesh(state, dt_step)
-                tries = 0
-                while not _mesh_step_ok(state, new, dt_step):
-                    tries += 1
-                    halvings += 1
-                    if tries > _MAX_HALVINGS:
-                        new = None
-                        break
-                    dt = dt / 2.0
-                    dt_step = min(dt, remaining)
-                    new = step_mesh(state, dt_step)
-                if new is None:
-                    if since_record:
-                        record(state)
-                    traj.stop_reason = "singular"
-                    break
-            else:
+            tries = 0
+            while True:
+                dt_step = min(dt, remaining)
                 try:
-                    new = step_spectral(state, dt_step)
-                except ValueError:
-                    if since_record:
-                        record(state)
-                    traj.stop_reason = "singular"
+                    new = step(state, dt_step)
+                except ChartError as exc:
+                    detail = str(exc)
                     break
+                if step_ok(state, new):
+                    break
+                tries += 1
+                halvings += 1
+                if tries > _MAX_HALVINGS:
+                    detail = f"step rejected {tries} times at dt={dt_step:.17g}"
+                    break
+                dt = dt / 2.0
+            if detail is not None:
+                traj.stop_reason = "singular"
+                break
             state = new
             steps += 1
             since_record += 1
@@ -231,13 +224,17 @@ def run(
                 if rec.ao_inf < stop_ao_inf:
                     traj.stop_reason = "converged"
                     break
+        if since_record:
+            record(state)
 
     traj.meta = {
         "steps": steps,
         "halvings": halvings,
         "dt_final": dt,
-        "backend": "mesh" if is_mesh else "spectral",
+        "backend": name,
     }
+    if detail is not None:
+        traj.meta["stop_detail"] = f"t={state.time:.17g}: {detail}"
     return traj
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "build_operators",
     "vertex_normals",
     "mean_curvature",
+    "laplacian_chain",
     "gauss_curvature",
     "tracefree_norm_sq",
     "area",
@@ -212,6 +213,18 @@ def mean_curvature(mesh: TriangleMesh) -> np.ndarray:
     return H
 
 
+def laplacian_chain(mesh: TriangleMesh):
+    """Vertex values (H, Delta H, Delta^2 H), with Delta u = W u / M."""
+    if "chain" in mesh._cache:
+        return mesh._cache["chain"]
+    W, M = build_operators(mesh)
+    H = mean_curvature(mesh)
+    w1 = (W @ H) / M
+    w2 = (W @ w1) / M
+    mesh._cache["chain"] = (H, w1, w2)
+    return H, w1, w2
+
+
 def gauss_curvature(mesh: TriangleMesh) -> np.ndarray:
     """Vertex Gauss curvature, angle defect over mixed-Voronoi mass."""
     if "K" in mesh._cache:
@@ -281,9 +294,9 @@ def dirichlet_energy(mesh: TriangleMesh, u: np.ndarray) -> float:
 def concentration(mesh: TriangleMesh, radius: float) -> float:
     """Largest curvature mass in a ball: sup_x int_{B(x, r)} |A|^2 d mu.
 
-    Candidate centers are the vertices and edge midpoints; the ball is
-    Euclidean with the given radius and vertices carry their lumped
-    mass.
+    Candidate centers are the vertices and the edge midpoints, each
+    undirected edge once; the ball is Euclidean with the given radius
+    and vertices carry their lumped mass.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -292,13 +305,11 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     _, M = build_operators(mesh)
     density = (ao2 + 0.5 * H * H) * M
     v, f = mesh.vertices, mesh.faces
-    mids = np.concatenate(
-        [
-            (v[f[:, 0]] + v[f[:, 1]]) / 2.0,
-            (v[f[:, 1]] + v[f[:, 2]]) / 2.0,
-            (v[f[:, 2]] + v[f[:, 0]]) / 2.0,
-        ]
-    )
+    # sorted index pairs give each undirected edge one midpoint, also on
+    # meshes that were never validated
+    edges = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+    keys = np.unique(edges[:, 0] * len(v) + edges[:, 1])
+    mids = (v[keys // len(v)] + v[keys % len(v)]) / 2.0
     centers = np.concatenate([v, mids])
     return max_ball_sum(v, centers, density, radius)
 

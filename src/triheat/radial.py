@@ -25,6 +25,7 @@ from . import spherical
 from .spherical import GridSpec, SphericalField, transform_for
 
 __all__ = [
+    "ChartError",
     "RadialGraphState",
     "CurvatureBundle",
     "phi_factor",
@@ -44,6 +45,10 @@ __all__ = [
 _SQRT4PI = np.sqrt(4.0 * np.pi)
 
 
+class ChartError(ValueError):
+    """The radius is not finite and positive: the surface has left the chart."""
+
+
 class RadialGraphState:
     """A star-shaped surface rho(p) p together with its flow time.
 
@@ -61,9 +66,9 @@ class RadialGraphState:
 
     Raises
     ------
-    ValueError
-        If the synthesized radius is not strictly positive, i.e. the
-        surface has left the star-shaped chart.
+    ChartError
+        If the synthesized radius is not finite and strictly positive,
+        i.e. the surface has left the star-shaped chart.
     """
 
     __slots__ = ("grid", "coeffs", "values", "time", "_geo")
@@ -74,10 +79,13 @@ class RadialGraphState:
             field = spherical.analyze(field)
         field = spherical.synthesize(field)
         if not np.all(np.isfinite(field.values)):
-            raise ValueError("radius field contains non-finite values")
+            raise ChartError(
+                "radius field contains non-finite values; the surface has "
+                "left the star-shaped chart"
+            )
         rmin = float(field.values.min())
         if rmin <= 0.0:
-            raise ValueError(
+            raise ChartError(
                 f"radius reaches {rmin:.6g}; the surface has left the "
                 "star-shaped chart"
             )

@@ -423,7 +423,7 @@ def read_coeffs_csv(path, grid: GridSpec | None = None) -> SphericalField:
     When grid is omitted, the smallest valid bandlimit covering the rows
     (at least 4) is used with default oversampling.
     """
-    rows = []
+    rows = {}
     with open(path) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "l,m,value":
@@ -433,17 +433,20 @@ def read_coeffs_csv(path, grid: GridSpec | None = None) -> SphericalField:
             if not line:
                 continue
             l_s, m_s, v_s = line.split(",")
-            rows.append((int(l_s), int(m_s), float(v_s)))
+            key = (int(l_s), int(m_s))
+            if key in rows:
+                raise ValueError(f"repeated row l={key[0]}, m={key[1]}: {line!r}")
+            rows[key] = float(v_s)
     if not rows:
         raise ValueError("no coefficient rows found")
-    lmax = max(r[0] for r in rows)
+    lmax = max(l for l, _ in rows)
     if grid is None:
         grid = GridSpec.for_bandlimit(max(lmax, 4))
     L = grid.bandlimit
     if lmax > L:
         raise ValueError(f"file holds degree {lmax}, above bandlimit {L}")
     c = np.zeros((L + 1, 2 * L + 1))
-    for l, m, v in rows:
+    for (l, m), v in rows.items():
         if abs(m) > l:
             raise ValueError(f"invalid row l={l}, m={m}")
         c[l, L + m] = v

@@ -237,6 +237,28 @@ def test_simulate_singular_run_exits_2_with_artifacts(tmp_path):
     mesh.load_obj(os.path.join(out, "state_final.obj")).validate()
 
 
+def test_simulate_singular_run_writes_its_stop_detail(tmp_path):
+    out = str(tmp_path / "chart")
+    args = [
+        "simulate",
+        "--set", f"out.dir={out}",
+        "--set", "shape.kind=perturbed",
+        "--set", "shape.perturb=2,0,2.5",
+        "--set", "dt.policy=fixed",
+        "--set", "dt.value=1e-4",
+        "--set", "t_end=1.0",
+    ]
+    assert main(args) == 2
+    meta_path = os.path.join(out, "run.meta")
+    meta = open(meta_path).read()
+    assert "run.stop_detail = t=0: radius reaches" in meta
+    assert "chart" in meta
+    cfg = cfgmod.FlowConfig()
+    for item in args[2::2]:
+        cfgmod.apply_setting(cfg, *item.split("=", 1))
+    assert cfgmod.parse_config(meta_path) == cfg
+
+
 def test_simulate_usage_failures(tmp_path, capsys):
     assert main(["simulate", "--set", "bogus=1"]) == 1
     assert "bogus" in capsys.readouterr().err

@@ -72,6 +72,53 @@ def test_energies_rejects_unknown_states():
         diagnostics.energies(np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "dispatch",
+    [
+        diagnostics.compute_record,
+        lambda s: diagnostics.concentration(s, 0.25),
+        diagnostics.gap_residual,
+        diagnostics.codazzi_residual,
+        flow.auto_dt,
+        lambda s: flow.rescale(s, 2.0),
+        lambda s: flow.run(s, 1.0),
+    ],
+    ids=[
+        "compute_record",
+        "concentration",
+        "gap_residual",
+        "codazzi_residual",
+        "auto_dt",
+        "rescale",
+        "run",
+    ],
+)
+def test_dispatchers_reject_unknown_states(dispatch):
+    with pytest.raises(TypeError):
+        dispatch(np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        shapes.perturbed_sphere_state(GRID, 1.0, [(2, 0, 0.05), (3, 1, 0.02)]),
+        shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.1), (3, 2, 0.05)]),
+    ],
+    ids=["spectral", "mesh"],
+)
+def test_cheap_queries_equal_record_fields(state):
+    rec = diagnostics.compute_record(state, 0.3)
+    e = diagnostics.energies(state)
+    assert e == {
+        "area": rec.area,
+        "volume": rec.volume,
+        "willmore": rec.willmore,
+        "ao2": rec.ao2,
+    }
+    assert diagnostics.gap_residual(state) == (rec.gap_residual, rec.grad_dh2)
+    assert diagnostics.concentration(state, 0.3) == rec.alpha
+
+
 # ---------------------------------------------------------------------------
 # stationarity gap
 # ---------------------------------------------------------------------------

@@ -209,6 +209,32 @@ def test_mesh_run_reports_singular_when_dt_cannot_recover():
     traj.final_state.validate()
 
 
+def test_singular_runs_explain_their_stop():
+    m = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.3)])
+    traj = flow.run(m, m.time + 2e5, dt=1e5, cadence=1)
+    want = f"t=0: step rejected {flow._MAX_HALVINGS + 1} times at dt="
+    assert traj.meta["stop_detail"].startswith(want)
+    assert "stop_detail" not in flow.run(mode_state(1.0, []), 1e-4).meta
+
+
+def test_spectral_run_reports_singular_when_the_chart_is_left():
+    st = shapes.generate("perturbed", "spectral", bandlimit=16, perturb="2,0,2.5")
+    traj = flow.run(st, 1.0, dt=1e-4, cadence=10)
+    assert traj.stop_reason == "singular"
+    assert traj.meta["steps"] == 0
+    assert "chart" in traj.meta["stop_detail"]
+    assert traj.final_state is st
+
+
+def test_run_propagates_errors_that_are_not_chart_exits(monkeypatch):
+    def broken(state):
+        raise ValueError("not a chart exit")
+
+    monkeypatch.setattr(radial, "rho_velocity", broken)
+    with pytest.raises(ValueError, match="not a chart exit"):
+        flow.run(mode_state(1.0, [(2, 0, 0.01)]), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # parabolic rescaling
 # ---------------------------------------------------------------------------

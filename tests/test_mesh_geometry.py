@@ -292,6 +292,25 @@ def test_concentration_rejects_bad_radius():
         mesh.concentration(m, -0.1)
 
 
+def test_concentration_centers_each_edge_midpoint_once(monkeypatch):
+    seen = []
+    ball_sum = mesh.max_ball_sum
+
+    def spy(points, centers, density, radius):
+        seen.append(len(centers))
+        return ball_sum(points, centers, density, radius)
+
+    monkeypatch.setattr(mesh, "max_ball_sum", spy)
+    m = shapes.icosphere(2)
+    n_edges = 3 * m.n_faces // 2
+    mesh.concentration(m, 0.25)
+    # one face flipped: its edges now repeat a neighbour's direction
+    f = m.faces.copy()
+    f[0] = f[0, ::-1]
+    mesh.concentration(TriangleMesh(m.vertices, f), 0.25)
+    assert seen == [m.n_vertices + n_edges] * 2
+
+
 # ---------------------------------------------------------------------------
 # OBJ interchange
 # ---------------------------------------------------------------------------

@@ -345,6 +345,13 @@ def test_read_coeffs_csv_rejects_bad_header(tmp_path):
         read_coeffs_csv(path)
 
 
+def test_read_coeffs_csv_rejects_repeated_rows(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("l,m,value\n0,0,3.5\n2,0,0.01\n2,0,0.05\n")
+    with pytest.raises(ValueError, match="l=2, m=0"):
+        read_coeffs_csv(path)
+
+
 def test_grid_csv_layout(tmp_path):
     c = np.zeros((L + 1, 2 * L + 1))
     c[0, L] = SQRT4PI
