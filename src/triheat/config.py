@@ -109,15 +109,15 @@ def validate_config(cfg: FlowConfig) -> None:
         raise ValueError(f"backend must be spectral or mesh, got {cfg.backend!r}")
     if cfg.dt_policy not in ("auto", "fixed"):
         raise ValueError(f"dt.policy must be auto or fixed, got {cfg.dt_policy!r}")
-    if cfg.dt_policy == "fixed" and cfg.dt_value <= 0.0:
+    if cfg.dt_policy == "fixed" and not cfg.dt_value > 0.0:
         raise ValueError("dt.policy=fixed needs a positive dt.value")
-    if cfg.t_end <= 0.0:
+    if not cfg.t_end > 0.0:
         raise ValueError("t_end must be positive")
     if cfg.cadence < 1:
         raise ValueError("cadence must be at least 1")
-    if cfg.safety <= 0.0:
+    if not cfg.safety > 0.0:
         raise ValueError("safety must be positive")
-    if cfg.concentration_radius <= 0.0:
+    if not cfg.concentration_radius > 0.0:
         raise ValueError("concentration.radius must be positive")
 
 

@@ -167,13 +167,13 @@ def run(
         name, step, step_ok = "spectral", step_spectral, lambda old, new: True
     else:
         raise TypeError(f"no stepper for {type(state).__name__}")
-    if t_end <= state.time:
+    if not t_end > state.time:
         raise ValueError("t_end must exceed the state's current time")
     if cadence < 1:
         raise ValueError("cadence must be at least 1")
     if dt is None:
         dt = auto_dt(state, safety)
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
 
     traj = Trajectory()

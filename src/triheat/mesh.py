@@ -298,8 +298,6 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     undirected edge once; the ball is Euclidean with the given radius
     and vertices carry their lumped mass.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
     H = mean_curvature(mesh)
     ao2, _ = tracefree_norm_sq(mesh)
     _, M = build_operators(mesh)
@@ -317,10 +315,17 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
 def max_ball_sum(points, centers, density, radius: float) -> float:
     """Largest sum of per-point density over a Euclidean ball of centers.
 
-    Pairs within the radius come from a tree-to-tree sparse distance
-    query, so the pair set (self-pairs included) is assembled in
-    compiled code and reduced with one bincount.
+    The radius must be positive (infinity is allowed). When the centers
+    begin with the points themselves (``centers[:len(points)]`` equals
+    ``points``, as for a node cloud or a mesh's vertices followed by its
+    edge midpoints), those ball sums come from one self-join of the
+    point tree, which lists each unordered pair within the radius once:
+    every point adds its density to its partner's sum and to its own.
+    The remaining centers are joined against the point tree and reduced
+    with one bincount. A center with no point in range sums to 0.
     """
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
     points = np.asarray(points, dtype=float)
     centers = np.asarray(centers, dtype=float)
     density = np.asarray(density, dtype=float)
@@ -330,15 +335,21 @@ def max_ball_sum(points, centers, density, radius: float) -> float:
     hi = np.maximum(points.max(axis=0), centers.max(axis=0))
     if radius >= np.linalg.norm(hi - lo):
         return float(density.sum())
-    pairs = cKDTree(centers).sparse_distance_matrix(
-        cKDTree(points), radius, output_type="coo_matrix"
-    )
-    if pairs.nnz == 0:
-        return 0.0
-    sums = np.bincount(
-        pairs.row, weights=density[pairs.col], minlength=len(centers)
-    )
-    return float(sums.max())
+    tree = cKDTree(points)
+    n = len(points)
+    best = -np.inf
+    if np.array_equal(centers[:n], points):
+        i, j = tree.query_pairs(radius, output_type="ndarray").T
+        sums = density + np.bincount(i, density[j], n) + np.bincount(j, density[i], n)
+        best = sums.max()
+        centers = centers[n:]
+    if len(centers):
+        pairs = cKDTree(centers).sparse_distance_matrix(
+            tree, radius, output_type="ndarray"
+        )
+        sums = np.bincount(pairs["i"], density[pairs["j"]], len(centers))
+        best = max(best, sums.max())
+    return float(best)
 
 
 # -- OBJ interchange ---------------------------------------------------------

@@ -131,6 +131,20 @@ def test_config_validation():
         cfgmod.parse_config_text("cadence = 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("t_end = nan\n", "t_end"),
+        ("safety = nan\n", "safety"),
+        ("dt.policy = fixed\ndt.value = nan\n", "dt.value"),
+        ("concentration.radius = nan\n", "concentration.radius"),
+    ],
+)
+def test_config_rejects_nan(text, key):
+    with pytest.raises(ValueError, match=key):
+        cfgmod.parse_config_text(text)
+
+
 # ---------------------------------------------------------------------------
 # spectrum subcommand
 # ---------------------------------------------------------------------------

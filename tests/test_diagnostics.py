@@ -290,6 +290,18 @@ def test_spectral_concentration_monotone():
     assert vals[0] <= vals[1] <= vals[2]
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
+def test_concentration_rejects_bad_radius_on_both_backends(radius):
+    for state in (
+        shapes.perturbed_sphere_state(GRID, 1.0, [(2, 0, 0.05)]),
+        shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05)]),
+    ):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            diagnostics.concentration(state, radius)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            diagnostics.compute_record(state, radius)
+
+
 # ---------------------------------------------------------------------------
 # record serialization
 # ---------------------------------------------------------------------------

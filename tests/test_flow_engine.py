@@ -140,6 +140,17 @@ def test_run_rejects_bad_configuration():
         flow.run("not a state", 1.0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [{"t_end": float("nan")}, {"dt": float("nan")}, {"safety": float("nan")}],
+)
+def test_run_rejects_nan_settings(kw):
+    args = {"t_end": 1e-3, **kw}
+    for s in (mode_state(1.0, [(2, 0, 0.01)]), shapes.icosphere(2)):
+        with pytest.raises(ValueError, match="must"):
+            flow.run(s, **args)
+
+
 def test_sphere_run_converges_immediately():
     s = shapes.sphere_state(GRID, 1.3)
     traj = flow.run(s, 1.0)

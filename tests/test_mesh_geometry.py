@@ -311,6 +311,86 @@ def test_concentration_centers_each_edge_midpoint_once(monkeypatch):
     assert seen == [m.n_vertices + n_edges] * 2
 
 
+def brute_ball_max(points, centers, density, radius):
+    """Largest ball sum by a double loop over centers and points."""
+    best = -np.inf
+    for c in centers:
+        total = 0.0
+        for p, w in zip(points, density):
+            if np.sqrt(((p - c) ** 2).sum()) <= radius:
+                total += w
+        best = max(best, total)
+    return best
+
+
+def random_cloud(seed, n):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return rng, pts * rng.uniform(0.9, 1.1, size=(n, 1)), rng.uniform(0.0, 1.0, n)
+
+
+def assert_ball_max(points, centers, density, radius):
+    got = mesh.max_ball_sum(points, centers, density, radius)
+    want = brute_ball_max(points, centers, density, radius)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0.1, 0.3, 0.8])
+def test_max_ball_sum_centers_are_the_points(seed, radius):
+    _, pts, dens = random_cloud(seed, 150)
+    assert_ball_max(pts, pts, dens, radius)
+    assert_ball_max(pts, pts.copy(), dens, radius)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_max_ball_sum_points_followed_by_extra_centers(seed):
+    rng, pts, dens = random_cloud(seed, 150)
+    extra = rng.uniform(-1.0, 1.0, size=(60, 3))
+    # the last center's ball holds no point
+    centers = np.concatenate([pts, extra, [[0.0, 0.0, 0.0]]])
+    for radius in (0.15, 0.4):
+        assert_ball_max(pts, centers, dens, radius)
+    # with negative densities the empty ball's sum of 0 is the largest
+    assert mesh.max_ball_sum(pts, centers, -dens, 0.4) == 0.0
+    assert_ball_max(pts, centers, -dens, 0.4)
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_max_ball_sum_centers_disjoint_from_points(seed):
+    rng, pts, dens = random_cloud(seed, 150)
+    centers = rng.uniform(-1.2, 1.2, size=(80, 3))
+    for radius in (0.2, 0.5):
+        assert_ball_max(pts, centers, dens, radius)
+    # the points in another order are not a prefix of the centers
+    assert_ball_max(pts, pts[::-1], dens, 0.3)
+    far = np.full((3, 3), 10.0)
+    assert mesh.max_ball_sum(pts, far, dens, 0.5) == 0.0
+
+
+def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
+    _, pts, dens = random_cloud(8, 150)
+    diameter = 2.2  # the points lie within 1.1 of the origin
+    diagonal = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
+    assert diameter < diagonal
+    radius = 0.5 * (diameter + diagonal)
+    assert_ball_max(pts, pts, dens, radius)
+    assert abs(mesh.max_ball_sum(pts, pts, dens, radius) / dens.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
+def test_max_ball_sum_rejects_bad_radius(radius):
+    _, pts, dens = random_cloud(9, 20)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        mesh.max_ball_sum(pts, pts, dens, radius)
+
+
+def test_max_ball_sum_infinite_radius_covers_everything():
+    _, pts, dens = random_cloud(10, 20)
+    assert mesh.max_ball_sum(pts, pts, dens, float("inf")) == dens.sum()
+
+
 # ---------------------------------------------------------------------------
 # OBJ interchange
 # ---------------------------------------------------------------------------
