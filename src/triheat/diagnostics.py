@@ -130,23 +130,29 @@ def read_csv(path):
 
 
 # -- per-backend assembly ----------------------------------------------------
-# One function per backend for every field but alpha, one for alpha (most
-# of a record's cost); every query below reads from these.
+# Per backend, one function for the curvature fields, one for the fields of
+# the Delta^2 H chain and one for alpha (most of a record's cost); every query
+# below reads from these, so the cheap ones skip the chain.
 
 
-def _spectral_fields(state: RadialGraphState) -> dict:
+def _spectral_curvature(state: RadialGraphState) -> dict:
     b = radial.curvature_bundle(state)
-    _, w1, w2 = radial.laplacian_chain(state)
-    grad_w1 = radial.gradient_norm_sq(state, SphericalField(state.grid, values=w1))
     return {
         "area": radial.area(state),
         "volume": radial.volume(state),
         "willmore": 0.25 * radial.integrate(state, b.mean**2),
         "ao2": radial.integrate(state, b.norm_ao_sq),
         "int_gauss": radial.integrate(state, b.gauss),
+        "ao_inf": float(np.sqrt(b.norm_ao_sq.max())),
+    }
+
+
+def _spectral_chain(state: RadialGraphState) -> dict:
+    _, w1, w2 = radial.laplacian_chain(state)
+    grad_w1 = radial.gradient_norm_sq(state, SphericalField(state.grid, values=w1))
+    return {
         "dh2": radial.integrate(state, w1**2),
         "grad_dh2": radial.integrate(state, grad_w1),
-        "ao_inf": float(np.sqrt(b.norm_ao_sq.max())),
         "gap_residual": float(np.abs(w2).max()),
     }
 
@@ -157,9 +163,9 @@ def _spectral_alpha(state: RadialGraphState, radius: float) -> float:
     return mesh_mod.max_ball_sum(pts, pts, b.norm_a_sq.ravel() * wts, radius)
 
 
-def _mesh_fields(m: TriangleMesh) -> dict:
+def _mesh_curvature(m: TriangleMesh) -> dict:
     _, M = mesh_mod.build_operators(m)
-    H, w1, w2 = mesh_mod.laplacian_chain(m)
+    H = mesh_mod.mean_curvature(m)
     ao2, _ = mesh_mod.tracefree_norm_sq(m)
     return {
         "area": mesh_mod.area(m),
@@ -167,28 +173,36 @@ def _mesh_fields(m: TriangleMesh) -> dict:
         "willmore": 0.25 * float(M @ (H * H)),
         "ao2": float(M @ ao2),
         "int_gauss": float(M @ mesh_mod.gauss_curvature(m)),
+        "ao_inf": float(np.sqrt(ao2.max())),
+    }
+
+
+def _mesh_chain(m: TriangleMesh) -> dict:
+    _, M = mesh_mod.build_operators(m)
+    _, w1, w2 = mesh_mod.laplacian_chain(m)
+    return {
         "dh2": float(M @ (w1 * w1)),
         "grad_dh2": mesh_mod.dirichlet_energy(m, w1),
-        "ao_inf": float(np.sqrt(ao2.max())),
         "gap_residual": float(np.abs(w2).max()),
     }
 
 
 def _backend(state):
-    """(backend name, fields function, alpha function) for a state."""
+    """(backend name, curvature fields, chain fields, alpha) for a state."""
     if isinstance(state, RadialGraphState):
-        return "spectral", _spectral_fields, _spectral_alpha
+        return "spectral", _spectral_curvature, _spectral_chain, _spectral_alpha
     if isinstance(state, TriangleMesh):
-        return "mesh", _mesh_fields, mesh_mod.concentration
+        return "mesh", _mesh_curvature, _mesh_chain, mesh_mod.concentration
     raise TypeError(f"no diagnostics for {type(state).__name__}")
 
 
 def compute_record(state, concentration_radius: float = 0.25) -> DiagnosticsRecord:
     """Full diagnostics for a radial-graph state or a triangle mesh."""
-    name, fields, alpha = _backend(state)
+    name, curvature, chain, alpha = _backend(state)
     return DiagnosticsRecord(
         time=state.time,
-        **fields(state),
+        **curvature(state),
+        **chain(state),
         alpha=alpha(state, concentration_radius),
         backend=name,
     )
@@ -202,7 +216,7 @@ def energies(state) -> dict:
 
 def concentration(state, radius: float) -> float:
     """Curvature concentration sup_x int_{B(x, r)} |A|^2 d mu."""
-    return _backend(state)[2](state, radius)
+    return _backend(state)[3](state, radius)
 
 
 def gap_residual(state):
@@ -211,7 +225,7 @@ def gap_residual(state):
     Both vanish exactly on round spheres; away from them the pair
     measures the distance to stationarity in sup and energy norms.
     """
-    f = _backend(state)[1](state)
+    f = _backend(state)[2](state)
     return f["gap_residual"], f["grad_dh2"]
 
 

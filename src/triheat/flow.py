@@ -76,7 +76,7 @@ def step_spectral(state: RadialGraphState, dt: float) -> RadialGraphState:
     because every Lhat eigenvalue is nonpositive. Raises ChartError if
     the stepped surface leaves the star-shaped chart.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     grid = state.grid
     tr = transform_for(grid)
@@ -91,7 +91,7 @@ def step_spectral(state: RadialGraphState, dt: float) -> RadialGraphState:
 
 def step_mesh(m: TriangleMesh, dt: float) -> TriangleMesh:
     """One explicit Euler step of the vertex positions."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     _, _, w2 = mesh_mod.laplacian_chain(m)
     vel = -w2[:, None] * mesh_mod.vertex_normals(m)
@@ -246,7 +246,7 @@ def rescale(state, factor: float, center=None):
     Area scales by factor^-2, volume by factor^-3, and the total
     curvature energy int |A|^2 d mu is invariant.
     """
-    if factor <= 0.0:
+    if not factor > 0.0:
         raise ValueError("factor must be positive")
     if isinstance(state, TriangleMesh):
         x = np.zeros(3) if center is None else np.asarray(center, dtype=float)

@@ -74,8 +74,9 @@ class TriangleMesh:
 
         Checks: indices in range, every vertex used, no degenerate or
         repeated directed edges, every directed edge matched by its
-        reverse (closed, consistently oriented, manifold), and Euler
-        characteristic 2.
+        reverse (closed, consistently oriented, manifold), Euler
+        characteristic 2, and a positive enclosed volume (faces oriented
+        outward).
         """
         v, f = self.vertices, self.faces
         if not np.all(np.isfinite(v)):
@@ -104,6 +105,10 @@ class TriangleMesh:
             raise ValueError(f"Euler characteristic {euler}, expected 2 (sphere)")
         if _face_double_areas(v, f).min() <= 0.0:
             raise ValueError("mesh has zero-area faces")
+        if signed_volume(self) <= 0.0:
+            raise ValueError(
+                "mesh faces are oriented inward; the enclosed volume is not positive"
+            )
 
     def translated(self, offset) -> "TriangleMesh":
         return TriangleMesh(self.vertices + np.asarray(offset, float), self.faces, self.time)

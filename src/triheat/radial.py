@@ -147,8 +147,7 @@ def _geometry(state: RadialGraphState) -> dict:
     tr = transform_for(state.grid)
     c = state.coeffs
     rho = state.values
-    r_t, r_p = tr.gradient_values(c)
-    h_tt, h_tp, h_pp = tr.hessian_values(c)
+    r_t, r_p, h_tt, h_tp, h_pp = tr.derivative_values(c)
     lap_rho = tr.synthesize(tr.laplacian_coeffs(c))
     S = tr.sin_t[:, None]
     S2 = S * S

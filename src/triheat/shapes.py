@@ -122,7 +122,7 @@ def parse_semiaxes(text: str):
     if len(parts) != 3:
         raise ValueError("semiaxes must be 'a,b,c'")
     axes = tuple(float(p) for p in parts)
-    if min(axes) <= 0.0:
+    if not all(a > 0.0 for a in axes):
         raise ValueError("semiaxes must be positive")
     return axes
 

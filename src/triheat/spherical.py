@@ -17,6 +17,13 @@ Colatitude nodes are Gauss-Legendre (poles are never sampled), so
 quadrature of a product of two bandlimited fields is exact whenever
 nlat is at least bandlimit + 1.  Longitudes are equispaced and the
 longitudinal transform is an FFT.
+
+Synthesis sums each order m against a Legendre table to get the row-wise
+rfft spectrum, then inverts the FFT.  A phi-derivative multiplies mode m
+by i m, so u_phi, u_theta-phi and u_phi-phi reuse the spectra of u and
+u_theta instead of needing sums of their own.  One Legendre recurrence,
+run one order at a time, builds the grid tables and serves evaluation at
+scattered points.
 """
 
 from __future__ import annotations
@@ -133,43 +140,50 @@ class SphericalField:
         return f"SphericalField(L={self.grid.bandlimit}, {'+'.join(tags)})"
 
 
+def _legendre_orders(L: int, x: np.ndarray, s: np.ndarray):
+    """Yield the normalized Q_l^m(x) one order m = 0 .. L at a time.
+
+    Entry m has shape (L - m + 1,) + x.shape with rows l = m .. L;
+    s = sin theta is passed in because the grid tables and scattered
+    evaluation each compute it their own way.
+    """
+    qmm = np.full(x.shape, 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(L + 1):
+        if m > 0:
+            qmm = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * qmm
+        q = np.empty((L - m + 1,) + x.shape)
+        q[0] = qmm
+        if m < L:
+            q[1] = np.sqrt(2.0 * m + 3.0) * x * qmm
+        for l in range(m + 2, L + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            q[l - m] = a * (x * q[l - m - 1] - b * q[l - m - 2])
+        yield q
+
+
 def _alf_tables(L: int, x: np.ndarray):
     """Normalized associated Legendre functions and their theta-derivatives.
 
     Returns three lists indexed by order m; entry m has shape
-    (len(x), L - m + 1) with columns l = m .. L.  The second derivative
-    uses Q'' = -l Q + (l x Q' - eps Q'_{l-1})/sin - (x/sin) Q', which stays
-    stable because the nodes exclude the poles.
+    (len(x), L - m + 1) with columns l = m .. L.  The derivatives use
+    sin Q' = l x Q - eps Q_{l-1} and Q'' = -l Q + (l x Q' - eps Q'_{l-1})/sin
+    - (x/sin) Q', which stay stable because the nodes exclude the poles.
     """
-    s = np.sqrt(1.0 - x * x)
-    n = x.size
-    Q = [np.zeros((n, L - m + 1)) for m in range(L + 1)]
-    Q[0][:, 0] = 1.0 / np.sqrt(4.0 * np.pi)
-    for m in range(1, L + 1):
-        Q[m][:, 0] = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * Q[m - 1][:, 0]
-    for m in range(L + 1):
-        if m + 1 <= L:
-            Q[m][:, 1] = np.sqrt(2.0 * m + 3.0) * x * Q[m][:, 0]
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            Q[m][:, l - m] = a * (x * Q[m][:, l - m - 1] - b * Q[m][:, l - m - 2])
-    dQ = [np.zeros_like(Q[m]) for m in range(L + 1)]
-    for m in range(L + 1):
-        for l in range(m, L + 1):
-            t = l * x * Q[m][:, l - m]
-            if l - 1 >= m:
-                eps = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-                t = t - eps * Q[m][:, l - m - 1]
-            dQ[m][:, l - m] = t / s
-    d2Q = [np.zeros_like(Q[m]) for m in range(L + 1)]
-    for m in range(L + 1):
-        for l in range(m, L + 1):
-            t = l * x * dQ[m][:, l - m]
-            if l - 1 >= m:
-                eps = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
-                t = t - eps * dQ[m][:, l - m - 1]
-            d2Q[m][:, l - m] = -l * Q[m][:, l - m] + t / s - (x / s) * dQ[m][:, l - m]
+    s = np.sqrt(1.0 - x * x)[:, None]
+    cot = x[:, None] / s
+    Q = [np.ascontiguousarray(q.T) for q in _legendre_orders(L, x, s[:, 0])]
+    dQ, d2Q = [], []
+    for m, q in enumerate(Q):
+        l = np.arange(m, L + 1)
+        eps = np.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0))[1:]
+        t = l * x[:, None] * q
+        t[:, 1:] -= eps * q[:, :-1]
+        dq = t / s
+        t = l * x[:, None] * dq
+        t[:, 1:] -= eps * dq[:, :-1]
+        dQ.append(dq)
+        d2Q.append(-l * q + t / s - cot * dq)
     return Q, dQ, d2Q
 
 
@@ -188,6 +202,7 @@ class _Transform:
         self.grid = grid
         self.Q, self.dQ, self.d2Q = _alf_tables(L, self.x)
         self.area_weights = (2.0 * np.pi / grid.nlon) * self.w  # per-row dsigma weight
+        self._m = np.arange(grid.nlon // 2 + 1)
 
     # -- core transforms -------------------------------------------------
 
@@ -200,41 +215,31 @@ class _Transform:
         root2 = np.sqrt(2.0)
         for m in range(L + 1):
             proj = self.Q[m].T @ (self.w * F[:, m])
-            ls = np.arange(m, L + 1)
             if m == 0:
-                c[ls, L] = fac * proj.real
+                c[:, L] = fac * proj.real
             else:
-                c[ls, L + m] = root2 * fac * proj.real
-                c[ls, L - m] = root2 * fac * (-proj.imag)
+                c[m:, L + m] = root2 * fac * proj.real
+                c[m:, L - m] = root2 * fac * (-proj.imag)
         return c
 
-    def synthesize(self, coeffs: np.ndarray, table=None) -> np.ndarray:
+    def _spectrum(self, coeffs: np.ndarray, table) -> np.ndarray:
+        """Row-wise rfft of the synthesis of coeffs against one Legendre table."""
         g = self.grid
         L = g.bandlimit
-        if table is None:
-            table = self.Q
         S = np.zeros((g.nlat, g.nlon // 2 + 1), dtype=complex)
         root2 = np.sqrt(2.0)
-        for m in range(L + 1):
-            ls = np.arange(m, L + 1)
-            if m == 0:
-                S[:, 0] = g.nlon * (table[0] @ coeffs[ls, L])
-            else:
-                S[:, m] = (g.nlon / 2.0) * root2 * (
-                    table[m] @ (coeffs[ls, L + m] - 1j * coeffs[ls, L - m])
-                )
-        return np.fft.irfft(S, n=g.nlon, axis=1)
-
-    # -- spectral derivative helpers -------------------------------------
-
-    def phi_derivative_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        L = self.grid.bandlimit
-        out = np.zeros_like(coeffs)
+        S[:, 0] = g.nlon * (table[0] @ coeffs[:, L])
         for m in range(1, L + 1):
-            ls = np.arange(m, L + 1)
-            out[ls, L + m] = m * coeffs[ls, L - m]
-            out[ls, L - m] = -m * coeffs[ls, L + m]
-        return out
+            S[:, m] = (g.nlon / 2.0) * root2 * (
+                table[m] @ (coeffs[m:, L + m] - 1j * coeffs[m:, L - m])
+            )
+        return S
+
+    def _values(self, spectrum: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(spectrum, n=self.grid.nlon, axis=1)
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        return self._values(self._spectrum(coeffs, self.Q))
 
     def laplacian_coeffs(self, coeffs: np.ndarray, power: int = 1) -> np.ndarray:
         L = self.grid.bandlimit
@@ -249,24 +254,26 @@ class _Transform:
 
     def gradient_values(self, coeffs: np.ndarray):
         """(d/dtheta u, d/dphi u) on the grid."""
-        u_t = self.synthesize(coeffs, self.dQ)
-        u_p = self.synthesize(self.phi_derivative_coeffs(coeffs))
+        u_t = self._values(self._spectrum(coeffs, self.dQ))
+        u_p = self._values(1j * self._m * self._spectrum(coeffs, self.Q))
         return u_t, u_p
 
-    def hessian_values(self, coeffs: np.ndarray):
-        """Covariant Hessian (round metric): theta-theta, theta-phi, phi-phi."""
-        dphic = self.phi_derivative_coeffs(coeffs)
-        u_t = self.synthesize(coeffs, self.dQ)
-        u_p = self.synthesize(dphic)
-        u_tt = self.synthesize(coeffs, self.d2Q)
-        u_tp = self.synthesize(dphic, self.dQ)
-        u_pp = self.synthesize(self.phi_derivative_coeffs(dphic))
+    def derivative_values(self, coeffs: np.ndarray):
+        """Gradient and covariant Hessian (round metric) on the grid.
+
+        Returns (d/dtheta u, d/dphi u, theta-theta, theta-phi, phi-phi)
+        from three Legendre sums: d/dphi multiplies longitude mode m by i m.
+        """
+        S, S_t, S_tt = (self._spectrum(coeffs, t) for t in (self.Q, self.dQ, self.d2Q))
+        im = 1j * self._m
+        u_t = self._values(S_t)
+        u_p = self._values(im * S)
         s = self.sin_t[:, None]
         x = self.x[:, None]
-        h_tt = u_tt
-        h_tp = u_tp - (x / s) * u_p
-        h_pp = u_pp + s * x * u_t
-        return h_tt, h_tp, h_pp
+        h_tt = self._values(S_tt)
+        h_tp = self._values(im * S_t) - (x / s) * u_p
+        h_pp = self._values(-(self._m**2) * S) + s * x * u_t
+        return u_t, u_p, h_tt, h_tp, h_pp
 
     def quadrature(self, values: np.ndarray) -> float:
         return float(self.area_weights @ values.sum(axis=1))
@@ -334,7 +341,7 @@ def surface_hessian(field: SphericalField):
     if not field.has_coeffs:
         field = analyze(field)
     tr = transform_for(field.grid)
-    h_tt, h_tp, h_pp = tr.hessian_values(field.coeffs)
+    h_tt, h_tp, h_pp = tr.derivative_values(field.coeffs)[2:]
     g = field.grid
     return (
         SphericalField(g, values=h_tt),
@@ -373,28 +380,14 @@ def evaluate(field: SphericalField, theta, phi) -> np.ndarray:
     c = field.coeffs
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    x = np.cos(theta)
-    s = np.sin(theta)
     out = np.zeros_like(theta)
     root2 = np.sqrt(2.0)
-    Qmm = np.full_like(theta, 1.0 / np.sqrt(4.0 * np.pi))
-    for m in range(L + 1):
-        if m > 0:
-            Qmm = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * Qmm
-        Qprev, Qcur = np.zeros_like(theta), Qmm
-        acc_a = c[m, L + m] * Qcur
-        acc_b = c[m, L - m] * Qcur if m > 0 else None
+    for m, q in enumerate(_legendre_orders(L, np.cos(theta), np.sin(theta))):
+        acc_a = c[m, L + m] * q[0]
+        acc_b = c[m, L - m] * q[0]
         for l in range(m + 1, L + 1):
-            if l == m + 1:
-                Qnext = np.sqrt(2.0 * m + 3.0) * x * Qcur
-            else:
-                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                Qnext = a * (x * Qcur - b * Qprev)
-            Qprev, Qcur = Qcur, Qnext
-            acc_a = acc_a + c[l, L + m] * Qcur
-            if m > 0:
-                acc_b = acc_b + c[l, L - m] * Qcur
+            acc_a = acc_a + c[l, L + m] * q[l - m]
+            acc_b = acc_b + c[l, L - m] * q[l - m]
         if m == 0:
             out += acc_a
         else:

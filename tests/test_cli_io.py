@@ -37,6 +37,11 @@ def test_parse_semiaxes():
         shapes.parse_semiaxes("1,2")
 
 
+def test_parse_semiaxes_rejects_nan():
+    with pytest.raises(ValueError, match="positive"):
+        shapes.parse_semiaxes("1,nan,1")
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -283,6 +288,13 @@ def test_simulate_usage_failures(tmp_path, capsys):
     assert main(["unknown-command"]) == 1
 
 
+def test_simulate_rejects_an_inward_mesh(tmp_path, capsys):
+    rc = main(["simulate", "--set", f"out.dir={tmp_path / 'run'}",
+               "--set", "backend=mesh", "--set", "shape.radius=-1"])
+    assert rc == 1
+    assert "oriented inward" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # diagnose and rescale subcommands
 # ---------------------------------------------------------------------------
@@ -334,3 +346,12 @@ def test_rescale_usage_failures(tmp_path, capsys):
     assert main(["rescale", "--state", src, "--factor", "2",
                  "--center", "0.1,0", "--out", str(tmp_path / "o.csv")]) == 1
     assert "x,y,z" in capsys.readouterr().err
+
+
+def test_rescale_rejects_nan_factor(tmp_path, capsys):
+    src = str(tmp_path / "m.obj")
+    dst = tmp_path / "o.obj"
+    mesh.save_obj(shapes.icosphere(1), src)
+    assert main(["rescale", "--state", src, "--factor", "nan", "--out", str(dst)]) == 1
+    assert "factor must be positive" in capsys.readouterr().err
+    assert not dst.exists()

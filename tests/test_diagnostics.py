@@ -119,6 +119,23 @@ def test_cheap_queries_equal_record_fields(state):
     assert diagnostics.concentration(state, 0.3) == rec.alpha
 
 
+def test_spectral_energies_skip_the_laplacian_chain(monkeypatch):
+    modes = [(2, 0, 0.05), (3, 1, 0.02)]
+    rec = diagnostics.compute_record(shapes.perturbed_sphere_state(GRID, 1.0, modes))
+
+    def no_chain(state):
+        raise AssertionError("energies ran the Delta^2 H chain")
+
+    monkeypatch.setattr(radial, "laplacian_chain", no_chain)
+    e = diagnostics.energies(shapes.perturbed_sphere_state(GRID, 1.0, modes))
+    assert e == {
+        "area": rec.area,
+        "volume": rec.volume,
+        "willmore": rec.willmore,
+        "ao2": rec.ao2,
+    }
+
+
 # ---------------------------------------------------------------------------
 # stationarity gap
 # ---------------------------------------------------------------------------

@@ -44,6 +44,22 @@ def test_steppers_reject_bad_dt():
         flow.auto_dt(np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "state, step",
+    [
+        (shapes.sphere_state(GRID, 1.0), flow.step_spectral),
+        (shapes.icosphere(1), flow.step_mesh),
+    ],
+    ids=["spectral", "mesh"],
+)
+def test_steppers_and_rescale_reject_nan(state, step):
+    # ChartError is a ValueError too, so the message tells the checks apart
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(state, float("nan"))
+    with pytest.raises(ValueError, match="factor must be positive"):
+        flow.rescale(state, float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # spectral stepper
 # ---------------------------------------------------------------------------

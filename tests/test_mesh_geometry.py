@@ -89,6 +89,15 @@ def test_validate_rejects_nonfinite_and_degenerate():
         TriangleMesh(m.vertices, f).validate()
 
 
+def test_validate_rejects_inward_orientation():
+    for m in (shapes.icosphere(1), shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1)])):
+        inward = TriangleMesh(m.vertices, m.faces[:, [0, 2, 1]])
+        with pytest.raises(ValueError, match="oriented inward"):
+            inward.validate()
+    with pytest.raises(ValueError, match="oriented inward"):
+        shapes.generate("sphere", "mesh", subdivisions=1, radius=-1.0)
+
+
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------

@@ -248,6 +248,22 @@ def test_hessian_zonal_cosine_components():
     assert np.abs(h_pp.values + ct * s2).max() <= 1e-10
 
 
+@pytest.mark.parametrize("l, m", [(3, 2), (4, -3), (5, 5)])
+def test_phi_derivatives_of_nonzonal_harmonics(l, m):
+    """d/dphi Y_{l,m} = -m Y_{l,-m} for either sign of m, and d2/dphi2 Y = -m^2 Y.
+
+    The second derivative is read off the Hessian through its Christoffel
+    term: hess_pp = u_pp + sin cos u_theta.
+    """
+    th, ph = grid_angles(GRID)
+    f = analyze(harmonic_field(GRID, l, m))
+    u_t, u_p = transform_for(GRID).gradient_values(f.coeffs)
+    _, _, h_pp = surface_hessian(f)
+    u_pp = h_pp.values - np.sin(th) * np.cos(th) * u_t
+    assert np.abs(u_p + m * real_harmonic(l, -m, th, ph)).max() <= 1e-11
+    assert np.abs(u_pp + m * m * real_harmonic(l, m, th, ph)).max() <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -305,6 +321,21 @@ def test_evaluate_matches_grid_synthesis():
     th, ph = grid_angles(GRID)
     pts = evaluate(f, th.ravel(), ph.ravel())
     assert np.abs(pts - f.values.ravel()).max() <= 1e-11
+
+
+def test_evaluate_matches_harmonic_sum_off_grid():
+    """Scattered points, both poles included, against the scipy-built basis."""
+    c = random_coeffs(GRID, 16)
+    rng = np.random.default_rng(17)
+    th = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 200)])
+    ph = rng.uniform(0.0, 2.0 * np.pi, th.size)
+    ref = sum(
+        c[l, L + m] * real_harmonic(l, m, th, ph)
+        for l in range(L + 1)
+        for m in range(-l, l + 1)
+    )
+    pts = evaluate(SphericalField(GRID, coeffs=c), th, ph)
+    assert np.abs(pts - ref).max() <= 1e-12
 
 
 def test_coefficient_bounds_checked():
