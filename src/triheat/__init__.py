@@ -26,10 +26,8 @@ from .flow import (
     Trajectory,
     TrajectoryEntry,
     auto_dt,
-    mesh_auto_dt,
     rescale,
     run,
-    spectral_auto_dt,
     step_mesh,
     step_spectral,
 )
@@ -68,10 +66,8 @@ __all__ = [
     "Trajectory",
     "TrajectoryEntry",
     "auto_dt",
-    "mesh_auto_dt",
     "rescale",
     "run",
-    "spectral_auto_dt",
     "step_mesh",
     "step_spectral",
     "TriangleMesh",

@@ -24,7 +24,7 @@ from .config import (
     parse_config,
     validate_config,
 )
-from .mesh import TriangleMesh, load_obj, save_obj
+from .mesh import load_obj
 from .radial import RadialGraphState
 
 __all__ = ["main"]
@@ -83,14 +83,9 @@ def _load_state(path):
 
 
 def _save_state(state, path, add_suffix=False) -> None:
-    """Write OBJ for a mesh, coefficient CSV otherwise; optionally add the suffix."""
-    is_mesh = isinstance(state, TriangleMesh)
-    if add_suffix:
-        path += ".obj" if is_mesh else ".csv"
-    if is_mesh:
-        save_obj(state, path)
-    else:
-        spherical.write_coeffs_csv(state.radius_field(), path)
+    """Write OBJ for a mesh, coefficient CSV for a graph; optionally add the suffix."""
+    b = diagnostics._backend(state)
+    b.save(state, path + b.suffix if add_suffix else path)
 
 
 def _cmd_simulate(args) -> int:
@@ -159,9 +154,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.lmax < 0:
         raise _UsageError("--lmax must be nonnegative")
+    # every rate first, so a rejected radius prints no partial table
+    rates = [
+        diagnostics.linearized_rate(l, args.rho_inf) for l in range(args.lmax + 1)
+    ]
     print("l,rate")
-    for l in range(args.lmax + 1):
-        rate = diagnostics.linearized_rate(l, args.rho_inf)
+    for l, rate in enumerate(rates):
         print(f"{l},{rate:.17g}")
     return 0
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import mesh as mesh_mod
-from . import radial
+from . import radial, spherical
 from .mesh import TriangleMesh
 from .radial import RadialGraphState
 from .spherical import SphericalField
@@ -129,94 +130,144 @@ def read_csv(path):
     return out
 
 
-# -- per-backend assembly ----------------------------------------------------
-# Per backend, one function for the curvature fields, one for the fields of
-# the Delta^2 H chain and one for alpha (most of a record's cost); every query
-# below reads from these, so the cheap ones skip the chain.
+# -- backends ----------------------------------------------------------------
+# Every record formula is written once, over the primitives that _backend
+# collects per call (so patched or traced layer functions take effect). A
+# record has a curvature part and a Delta^2 H chain part; cheap queries skip
+# the chain.
 
 
-def _spectral_curvature(state: RadialGraphState) -> dict:
+class _Backend(NamedTuple):
+    name: str
+    curvatures: Callable  # state -> (H, K, |A*|^2) at the nodes
+    integrate: Callable  # (state, f) -> int f d mu
+    dirichlet: Callable  # (state, u) -> int |grad u|^2 d mu
+    chain: Callable  # state -> (H, Delta H, Delta^2 H)
+    area: Callable
+    volume: Callable
+    alpha: Callable  # (state, radius) -> curvature concentration
+    scale: Callable  # state -> length that sets the step: mean radius, min edge
+    rescaled: Callable  # (state, factor, center) -> (state - center) / factor
+    save: Callable  # (state, path)
+    suffix: str
+
+
+def _graph_curvatures(state: RadialGraphState):
     b = radial.curvature_bundle(state)
-    return {
-        "area": radial.area(state),
-        "volume": radial.volume(state),
-        "willmore": 0.25 * radial.integrate(state, b.mean**2),
-        "ao2": radial.integrate(state, b.norm_ao_sq),
-        "int_gauss": radial.integrate(state, b.gauss),
-        "ao_inf": float(np.sqrt(b.norm_ao_sq.max())),
-    }
+    return b.mean, b.gauss, b.norm_ao_sq
 
 
-def _spectral_chain(state: RadialGraphState) -> dict:
-    _, w1, w2 = radial.laplacian_chain(state)
-    grad_w1 = radial.gradient_norm_sq(state, SphericalField(state.grid, values=w1))
-    return {
-        "dh2": radial.integrate(state, w1**2),
-        "grad_dh2": radial.integrate(state, grad_w1),
-        "gap_residual": float(np.abs(w2).max()),
-    }
+def _graph_dirichlet(state: RadialGraphState, u) -> float:
+    grad_sq = radial.gradient_norm_sq(state, SphericalField(state.grid, values=u))
+    return radial.integrate(state, grad_sq)
 
 
-def _spectral_alpha(state: RadialGraphState, radius: float) -> float:
+def _graph_alpha(state: RadialGraphState, radius: float) -> float:
     b = radial.curvature_bundle(state)
     pts, wts = radial.node_cloud(state)
     return mesh_mod.max_ball_sum(pts, pts, b.norm_a_sq.ravel() * wts, radius)
 
 
-def _mesh_curvature(m: TriangleMesh) -> dict:
-    _, M = mesh_mod.build_operators(m)
-    H = mesh_mod.mean_curvature(m)
-    ao2, _ = mesh_mod.tracefree_norm_sq(m)
+def _graph_rescaled(state: RadialGraphState, factor: float, center):
+    if center is not None and float(np.linalg.norm(center)) != 0.0:
+        raise ValueError("radial graphs rescale about the origin only")
+    return RadialGraphState(
+        state.grid,
+        coeffs=state.coeffs / factor,
+        time=state.time / factor**6,
+    )
+
+
+def _mesh_rescaled(m: TriangleMesh, factor: float, center):
+    x = np.zeros(3) if center is None else np.asarray(center, dtype=float)
+    return TriangleMesh(
+        (m.vertices - x) / factor,
+        m.faces,
+        time=m.time / factor**6,
+    )
+
+
+def _backend(state) -> _Backend:
+    """The primitives of a state's backend; TypeError for any other object."""
+    if isinstance(state, RadialGraphState):
+        return _Backend(
+            name="spectral",
+            curvatures=_graph_curvatures,
+            integrate=radial.integrate,
+            dirichlet=_graph_dirichlet,
+            chain=radial.laplacian_chain,
+            area=radial.area,
+            volume=radial.volume,
+            alpha=_graph_alpha,
+            scale=RadialGraphState.mean_radius,
+            rescaled=_graph_rescaled,
+            save=lambda s, path: spherical.write_coeffs_csv(s.radius_field(), path),
+            suffix=".csv",
+        )
+    if isinstance(state, TriangleMesh):
+        return _Backend(
+            name="mesh",
+            curvatures=lambda m: (
+                mesh_mod.mean_curvature(m),
+                mesh_mod.gauss_curvature(m),
+                mesh_mod.tracefree_norm_sq(m)[0],
+            ),
+            integrate=lambda m, f: float(mesh_mod.build_operators(m)[1] @ f),
+            dirichlet=mesh_mod.dirichlet_energy,
+            chain=mesh_mod.laplacian_chain,
+            area=mesh_mod.area,
+            volume=mesh_mod.signed_volume,
+            alpha=mesh_mod.concentration,
+            scale=mesh_mod.min_edge_length,
+            rescaled=_mesh_rescaled,
+            save=mesh_mod.save_obj,
+            suffix=".obj",
+        )
+    raise TypeError(f"no backend for {type(state).__name__}")
+
+
+def _curvature_fields(b: _Backend, state) -> dict:
+    H, K, ao2 = b.curvatures(state)
     return {
-        "area": mesh_mod.area(m),
-        "volume": mesh_mod.signed_volume(m),
-        "willmore": 0.25 * float(M @ (H * H)),
-        "ao2": float(M @ ao2),
-        "int_gauss": float(M @ mesh_mod.gauss_curvature(m)),
+        "area": b.area(state),
+        "volume": b.volume(state),
+        "willmore": 0.25 * b.integrate(state, H * H),
+        "ao2": b.integrate(state, ao2),
+        "int_gauss": b.integrate(state, K),
         "ao_inf": float(np.sqrt(ao2.max())),
     }
 
 
-def _mesh_chain(m: TriangleMesh) -> dict:
-    _, M = mesh_mod.build_operators(m)
-    _, w1, w2 = mesh_mod.laplacian_chain(m)
+def _chain_fields(b: _Backend, state) -> dict:
+    _, w1, w2 = b.chain(state)
     return {
-        "dh2": float(M @ (w1 * w1)),
-        "grad_dh2": mesh_mod.dirichlet_energy(m, w1),
+        "dh2": b.integrate(state, w1 * w1),
+        "grad_dh2": b.dirichlet(state, w1),
         "gap_residual": float(np.abs(w2).max()),
     }
 
 
-def _backend(state):
-    """(backend name, curvature fields, chain fields, alpha) for a state."""
-    if isinstance(state, RadialGraphState):
-        return "spectral", _spectral_curvature, _spectral_chain, _spectral_alpha
-    if isinstance(state, TriangleMesh):
-        return "mesh", _mesh_curvature, _mesh_chain, mesh_mod.concentration
-    raise TypeError(f"no diagnostics for {type(state).__name__}")
-
-
 def compute_record(state, concentration_radius: float = 0.25) -> DiagnosticsRecord:
     """Full diagnostics for a radial-graph state or a triangle mesh."""
-    name, curvature, chain, alpha = _backend(state)
+    b = _backend(state)
     return DiagnosticsRecord(
         time=state.time,
-        **curvature(state),
-        **chain(state),
-        alpha=alpha(state, concentration_radius),
-        backend=name,
+        **_curvature_fields(b, state),
+        **_chain_fields(b, state),
+        alpha=b.alpha(state, concentration_radius),
+        backend=b.name,
     )
 
 
 def energies(state) -> dict:
     """Area, volume, Willmore and tracefree energies, as in a record."""
-    f = _backend(state)[1](state)
+    f = _curvature_fields(_backend(state), state)
     return {k: f[k] for k in ("area", "volume", "willmore", "ao2")}
 
 
 def concentration(state, radius: float) -> float:
     """Curvature concentration sup_x int_{B(x, r)} |A|^2 d mu."""
-    return _backend(state)[3](state, radius)
+    return _backend(state).alpha(state, radius)
 
 
 def gap_residual(state):
@@ -225,7 +276,7 @@ def gap_residual(state):
     Both vanish exactly on round spheres; away from them the pair
     measures the distance to stationarity in sup and energy norms.
     """
-    f = _backend(state)[2](state)
+    f = _chain_fields(_backend(state), state)
     return f["gap_residual"], f["grad_dh2"]
 
 
@@ -238,25 +289,10 @@ def codazzi_residual(state) -> float:
     is defined as zero.
     """
     tiny = 1e-18
-    if isinstance(state, RadialGraphState):
-        b = radial.curvature_bundle(state)
-        grid = state.grid
-        num = radial.integrate(
-            state,
-            radial.gradient_norm_sq(state, SphericalField(grid, values=b.mean)),
-        )
-        s = np.sqrt(b.norm_ao_sq)
-        den = 4.0 * radial.integrate(
-            state,
-            radial.gradient_norm_sq(state, SphericalField(grid, values=s)),
-        )
-    elif isinstance(state, TriangleMesh):
-        H = mesh_mod.mean_curvature(state)
-        ao2, _ = mesh_mod.tracefree_norm_sq(state)
-        num = mesh_mod.dirichlet_energy(state, H)
-        den = 4.0 * mesh_mod.dirichlet_energy(state, np.sqrt(ao2))
-    else:
-        raise TypeError(f"no diagnostics for {type(state).__name__}")
+    b = _backend(state)
+    H, _, ao2 = b.curvatures(state)
+    num = b.dirichlet(state, H)
+    den = 4.0 * b.dirichlet(state, np.sqrt(ao2))
     if abs(den) < tiny:
         return 0.0 if abs(num) < tiny else math.inf
     return num / den
@@ -274,7 +310,7 @@ def linearized_rate(l: int, rho_inf: float) -> float:
     """
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    if rho_inf <= 0.0:
+    if not rho_inf > 0.0:
         raise ValueError("rho_inf must be positive")
     # + 0.0 turns the l = 1 product's negative zero into plain zero
     return -(l + 2.0) * (l + 1.0) ** 2 * l**2 * (l - 1.0) / rho_inf**6 + 0.0
@@ -282,7 +318,7 @@ def linearized_rate(l: int, rho_inf: float) -> float:
 
 def limiting_radius(volume: float) -> float:
     """Radius of the round sphere with the given enclosed volume."""
-    if volume <= 0.0:
+    if not volume > 0.0:
         raise ValueError("volume must be positive")
     return (3.0 * volume / (4.0 * np.pi)) ** (1.0 / 3.0)
 
@@ -305,6 +341,8 @@ def fit_exponential(times, values, tail_fraction: float = 0.5):
         raise ValueError(f"need at least 3 samples, got {n}")
     t = t[n - k :]
     v = v[n - k :]
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("tail times and values must be finite")
     if v.min() <= 0.0:
         raise ValueError("tail values must be positive for a log-linear fit")
     design = np.stack([t, np.ones_like(t)], axis=1)

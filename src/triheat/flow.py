@@ -25,8 +25,6 @@ from .spherical import transform_for
 __all__ = [
     "SPECTRAL_DT_COEFF",
     "MESH_DT_COEFF",
-    "spectral_auto_dt",
-    "mesh_auto_dt",
     "auto_dt",
     "step_spectral",
     "step_mesh",
@@ -49,22 +47,11 @@ MESH_DT_COEFF = 0.005
 _MAX_HALVINGS = 20
 
 
-def spectral_auto_dt(state: RadialGraphState, safety: float = 1.0) -> float:
-    """Default step for the spectral backend, scaling like mean radius^6."""
-    return SPECTRAL_DT_COEFF * state.mean_radius() ** 6 * safety
-
-
-def mesh_auto_dt(m: TriangleMesh, safety: float = 1.0) -> float:
-    """Default explicit-Euler step, half the measured stability limit."""
-    return MESH_DT_COEFF * mesh_mod.min_edge_length(m) ** 6 * safety
-
-
 def auto_dt(state, safety: float = 1.0) -> float:
-    if isinstance(state, RadialGraphState):
-        return spectral_auto_dt(state, safety)
-    if isinstance(state, TriangleMesh):
-        return mesh_auto_dt(state, safety)
-    raise TypeError(f"no stepper for {type(state).__name__}")
+    """Default step: the backend's coefficient times its length scale^6."""
+    b = diagnostics._backend(state)
+    coeff = {"spectral": SPECTRAL_DT_COEFF, "mesh": MESH_DT_COEFF}[b.name]
+    return coeff * b.scale(state) ** 6 * safety
 
 
 def step_spectral(state: RadialGraphState, dt: float) -> RadialGraphState:
@@ -159,14 +146,13 @@ def run(
     is only checked at records. The last partial step is clipped so a
     't_end' run finishes exactly at the requested time.
     """
-    if isinstance(state, TriangleMesh):
+    name = diagnostics._backend(state).name
+    if name == "mesh":
         state.validate()
-        name, step, step_ok = "mesh", step_mesh, _mesh_step_ok
-    elif isinstance(state, RadialGraphState):
-        # the implicit update is stable at any dt; chart exits raise
-        name, step, step_ok = "spectral", step_spectral, lambda old, new: True
+        step, step_ok = step_mesh, _mesh_step_ok
     else:
-        raise TypeError(f"no stepper for {type(state).__name__}")
+        # the implicit update is stable at any dt; chart exits raise
+        step, step_ok = step_spectral, lambda old, new: True
     if not t_end > state.time:
         raise ValueError("t_end must exceed the state's current time")
     if cadence < 1:
@@ -248,19 +234,4 @@ def rescale(state, factor: float, center=None):
     """
     if not factor > 0.0:
         raise ValueError("factor must be positive")
-    if isinstance(state, TriangleMesh):
-        x = np.zeros(3) if center is None else np.asarray(center, dtype=float)
-        return TriangleMesh(
-            (state.vertices - x) / factor,
-            state.faces,
-            time=state.time / factor**6,
-        )
-    if isinstance(state, RadialGraphState):
-        if center is not None and float(np.linalg.norm(center)) != 0.0:
-            raise ValueError("radial graphs rescale about the origin only")
-        return RadialGraphState(
-            state.grid,
-            coeffs=state.coeffs / factor,
-            time=state.time / factor**6,
-        )
-    raise TypeError(f"cannot rescale {type(state).__name__}")
+    return diagnostics._backend(state).rescaled(state, factor, center)

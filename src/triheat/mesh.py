@@ -179,10 +179,7 @@ def build_operators(mesh: TriangleMesh):
     vor0 = np.where(obtuse, np.where(ob0, fA / 2.0, fA / 4.0), vor0)
     vor1 = np.where(obtuse, np.where(ob1, fA / 2.0, fA / 4.0), vor1)
     vor2 = np.where(obtuse, np.where(ob2, fA / 2.0, fA / 4.0), vor2)
-    M = np.zeros(n)
-    np.add.at(M, i0, vor0)
-    np.add.at(M, i1, vor1)
-    np.add.at(M, i2, vor2)
+    M = np.bincount(f.T.ravel(), np.concatenate([vor0, vor1, vor2]), n)
 
     mesh._cache["ops"] = (W, M)
     return W, M
@@ -195,9 +192,8 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     v, f = mesh.vertices, mesh.faces
     p0, p1, p2 = _face_corners(v, f)
     fn = np.cross(p1 - p0, p2 - p0)  # length 2 * area, outward for ccw faces
-    acc = np.zeros_like(v)
-    for k in range(3):
-        np.add.at(acc, f[:, k], fn)
+    corners = f.T.ravel()
+    acc = np.stack([np.bincount(corners, np.tile(x, 3), len(v)) for x in fn.T], axis=1)
     nrm = acc / np.linalg.norm(acc, axis=1, keepdims=True)
     mesh._cache["normals"] = nrm
     return nrm

@@ -287,9 +287,10 @@ def _lap_from_coeffs(state: RadialGraphState, coeffs: np.ndarray) -> np.ndarray:
     u_t, u_p = tr.gradient_values(cu)
     lap_u = tr.synthesize(tr.laplacian_coeffs(cu))
 
-    a = geo["sqPhi"] / geo["rho"]
-    ca = tr.analyze(a - a.flat[0])
-    a_t, a_p = tr.gradient_values(ca)
+    if "a" not in geo:  # sqrt(Phi)/rho and its gradient, the same on every call
+        a = geo["sqPhi"] / geo["rho"]
+        geo["a"] = (a, *tr.gradient_values(tr.analyze(a - a.flat[0])))
+    a, a_t, a_p = geo["a"]
 
     pair_rho_u = geo["r_t"] * u_t + geo["r_p"] * u_p / S2
     cfun = pair_rho_u / (geo["rho"] * geo["sqPhi"])
@@ -342,6 +343,8 @@ def laplacian_chain(state: RadialGraphState):
     cw = tr.analyze(w1 - w1.flat[0])
     cw[0, L] += w1.flat[0] * _SQRT4PI
     w2 = _lap_from_coeffs(state, cw)
+    # the chain is cached, so the shared fields would only hold memory
+    del geo["a"]
     geo["chain"] = (H, w1, w2)
     return geo["chain"]
 

@@ -174,6 +174,14 @@ def test_spectrum_rejects_negative_lmax(capsys):
     assert "lmax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rho_inf", ["nan", "-1", "0"])
+def test_spectrum_rejects_bad_radius(rho_inf, capsys):
+    assert main(["spectrum", "--rho-inf", rho_inf, "--lmax", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rho_inf must be positive" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate subcommand
 # ---------------------------------------------------------------------------

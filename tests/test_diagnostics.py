@@ -251,6 +251,26 @@ def test_limiting_radius():
         diagnostics.limiting_radius(0.0)
 
 
+def test_rate_and_radius_reject_nan():
+    with pytest.raises(ValueError, match="rho_inf"):
+        diagnostics.linearized_rate(2, float("nan"))
+    with pytest.raises(ValueError, match="volume"):
+        diagnostics.limiting_radius(float("nan"))
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [("values", np.nan), ("values", np.inf), ("times", np.nan)],
+    ids=["nan-value", "inf-value", "nan-time"],
+)
+def test_fit_rejects_non_finite_tail(where, bad):
+    t = np.linspace(0.0, 1.0, 10)
+    v = np.exp(-t)
+    (t if where == "times" else v)[-2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        diagnostics.fit_exponential(t, v)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity audit
 # ---------------------------------------------------------------------------

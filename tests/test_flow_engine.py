@@ -7,6 +7,8 @@ on recorded trajectories.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from triheat import diagnostics, flow, mesh, radial, shapes
 from triheat.mesh import TriangleMesh
@@ -307,3 +309,52 @@ def test_rescale_rejects_off_center_graphs_and_bad_factor():
     flow.rescale(st, 2.0, center=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         flow.rescale(st, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# rescaling by random factors
+# ---------------------------------------------------------------------------
+
+STEPPED_GRAPH = flow.step_spectral(mode_state(1.0, [(2, 0, 0.1), (3, 1, 0.05)]), 1e-4)
+_MESH0 = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.1), (3, 2, 0.05)])
+STEPPED_MESH = flow.step_mesh(_MESH0, flow.auto_dt(_MESH0))
+FACTORS = hst.floats(0.2, 5.0)
+CENTERS = hst.tuples(*[hst.floats(-0.5, 0.5)] * 3)
+PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None)
+
+
+def _assert_parabolic_scaling(st, r, factor, ao2_rtol):
+    def rel(a, b):
+        return abs(a / b - 1.0)
+
+    e0 = diagnostics.energies(st)
+    e1 = diagnostics.energies(r)
+    assert rel(e1["area"], e0["area"] / factor**2) <= 1e-12
+    assert rel(e1["volume"], e0["volume"] / factor**3) <= 1e-12
+    assert rel(r.time, st.time / factor**6) <= 1e-12
+    int_a0 = e0["ao2"] + 2.0 * e0["willmore"]
+    int_a1 = e1["ao2"] + 2.0 * e1["willmore"]
+    assert rel(int_a1, int_a0) <= 1e-12
+    assert rel(e1["ao2"], e0["ao2"]) <= ao2_rtol
+
+
+@PROPERTY
+@given(factor=FACTORS)
+def test_rescale_graph_by_random_factors(factor):
+    st = STEPPED_GRAPH
+    r = flow.rescale(st, factor)
+    _assert_parabolic_scaling(st, r, factor, ao2_rtol=1e-12)
+    back = flow.rescale(r, 1.0 / factor)
+    assert np.abs(back.coeffs - st.coeffs).max() <= 1e-12 * np.abs(st.coeffs).max()
+    assert abs(back.time / st.time - 1.0) <= 1e-12
+
+
+@PROPERTY
+@given(factor=FACTORS, center=CENTERS)
+def test_rescale_mesh_by_random_factors_about_random_centers(factor, center):
+    m = STEPPED_MESH
+    r = flow.rescale(m, factor, center=center)
+    _assert_parabolic_scaling(m, r, factor, ao2_rtol=1e-11)
+    back = flow.rescale(r, 1.0 / factor, center=-np.asarray(center) / factor)
+    assert np.abs(back.vertices - m.vertices).max() <= 1e-12 * np.abs(m.vertices).max()
+    assert abs(back.time / m.time - 1.0) <= 1e-12

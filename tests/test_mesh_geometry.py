@@ -118,6 +118,17 @@ def test_mass_is_positive_and_sums_to_area():
     assert abs(mass3.sum() - mesh.area(m3)) <= 1e-12
 
 
+def test_vertex_normals_equal_the_add_at_reference():
+    m = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.1), (3, 2, 0.05)])
+    v, f = m.vertices, m.faces
+    fn = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    acc = np.zeros_like(v)
+    for k in range(3):
+        np.add.at(acc, f[:, k], fn)
+    want = acc / np.linalg.norm(acc, axis=1, keepdims=True)
+    assert np.array_equal(mesh.vertex_normals(m), want)
+
+
 def test_laplacian_of_coordinate_converges():
     """On the unit sphere Delta z = -2 z; the defect must shrink under
     one subdivision by at least 1.5 (observed factor is close to 4)."""
