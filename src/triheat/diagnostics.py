@@ -162,12 +162,6 @@ def _graph_dirichlet(state: RadialGraphState, u) -> float:
     return radial.integrate(state, grad_sq)
 
 
-def _graph_alpha(state: RadialGraphState, radius: float) -> float:
-    b = radial.curvature_bundle(state)
-    pts, wts = radial.node_cloud(state)
-    return mesh_mod.max_ball_sum(pts, pts, b.norm_a_sq.ravel() * wts, radius)
-
-
 def _graph_rescaled(state: RadialGraphState, factor: float, center):
     if center is not None and float(np.linalg.norm(center)) != 0.0:
         raise ValueError("radial graphs rescale about the origin only")
@@ -198,7 +192,7 @@ def _backend(state) -> _Backend:
             chain=radial.laplacian_chain,
             area=radial.area,
             volume=radial.volume,
-            alpha=_graph_alpha,
+            alpha=radial.concentration,
             scale=RadialGraphState.mean_radius,
             rescaled=_graph_rescaled,
             save=lambda s, path: spherical.write_coeffs_csv(s.radius_field(), path),

@@ -108,7 +108,9 @@ class Trajectory:
     """Recorded states and diagnostics of one run.
 
     ``stop_reason`` is 'converged' (sup |A*| fell below the stop
-    threshold at a record), 't_end' (final time reached) or 'singular'
+    threshold at a record; on a mesh only at a record where no vertex
+    had |A*|^2 = H^2/2 - 2K clamped at zero, since a clamped zero says
+    nothing about roundness), 't_end' (final time reached) or 'singular'
     (the state left its chart or step rejection exhausted its budget;
     the last valid state is kept as the final entry, and
     ``meta["stop_detail"]`` says at which time and why).
@@ -150,9 +152,11 @@ def run(
     if name == "mesh":
         state.validate()
         step, step_ok = step_mesh, _mesh_step_ok
+        unclamped = lambda m: mesh_mod.tracefree_norm_sq(m)[1] == 0
     else:
         # the implicit update is stable at any dt; chart exits raise
         step, step_ok = step_spectral, lambda old, new: True
+        unclamped = lambda st: True
     if not t_end > state.time:
         raise ValueError("t_end must exceed the state's current time")
     if cadence < 1:
@@ -167,13 +171,13 @@ def run(
     steps = 0
     detail = None
 
-    def record(st) -> DiagnosticsRecord:
+    def record(st) -> bool:
+        # records the state and says whether it has converged
         rec = diagnostics.compute_record(st, concentration_radius)
         traj.entries.append(TrajectoryEntry(st.time, st, rec))
-        return rec
+        return rec.ao_inf < stop_ao_inf and unclamped(st)
 
-    rec = record(state)
-    if rec.ao_inf < stop_ao_inf:
+    if record(state):
         traj.stop_reason = "converged"
     else:
         since_record = 0
@@ -206,8 +210,7 @@ def run(
             since_record += 1
             if since_record == cadence:
                 since_record = 0
-                rec = record(state)
-                if rec.ao_inf < stop_ao_inf:
+                if record(state):
                     traj.stop_reason = "converged"
                     break
         if since_record:

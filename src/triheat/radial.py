@@ -40,9 +40,19 @@ __all__ = [
     "rho_velocity",
     "gradient_norm_sq",
     "node_cloud",
+    "concentration",
 ]
 
 _SQRT4PI = np.sqrt(4.0 * np.pi)
+
+# Center rings per block of the ring-window ball sums: a block's
+# temporaries hold a few values per (center, kept point ring) pair.
+_RING_BLOCK = 8
+
+# Zone decisions stay this fraction of rho_max^2 away from r^2, about
+# 4500 ulps and far beyond the rounding of either distance, so a node
+# whose membership rounding could decide is always tested directly.
+_MARGIN = 1e-12
 
 
 class ChartError(ValueError):
@@ -410,3 +420,121 @@ def node_cloud(state: RadialGraphState):
     )
     w2d = tr.area_weights[:, None] * np.ones_like(rho)
     return pts, (w2d * geo["J"]).ravel()
+
+
+def concentration(state: RadialGraphState, radius: float) -> float:
+    """Curvature concentration sup_x int_{B(x, r)} |A|^2 d mu over the nodes.
+
+    Centers and points are the embedded grid nodes of ``node_cloud``,
+    which carry |A|^2 times their area weight; the ball is Euclidean.
+    Every node's ball sum is exact (see ``_ring_ball_sums``). The radius
+    must be positive (infinity is allowed); a ball that reaches across
+    the bounding box of the nodes returns the total.
+    """
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    pts, wts = node_cloud(state)
+    density = curvature_bundle(state).norm_a_sq.ravel() * wts
+    if radius >= np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)):
+        return float(density.sum())
+    return float(_ring_ball_sums(state.grid, state.values, pts, density, radius).max())
+
+
+def _ring_ball_sums(grid: GridSpec, rho, pts, density, radius: float) -> np.ndarray:
+    """Sum of density over the ball of the radius about every grid node.
+
+    ``pts`` are the nodes rho(p) p, flattened as in ``node_cloud``; rho
+    may be any positive grid field. Latitude ring b holds nlon nodes at
+    phi_k = 2 pi k / nlon, so a node offset by d along ring b lies at
+    the angle with cosine ct_a ct_b + st_a st_b cos(2 pi d / nlon) from
+    a center on ring a, and its distance grows with |d| for any radius
+    in ring b's range [lo_b, hi_b]. For each center and each point ring
+    that can reach the ball, the offsets split into three zones:
+
+    - inside, |d| <= d_in: in the ball for every radius in [lo_b, hi_b];
+      one difference of cyclic prefix sums adds the whole window;
+    - band, d_in < |d| <= d_out: each node is tested with the squared
+      coordinate differences a brute-force ball sum uses;
+    - outside, |d| > d_out: out of the ball for every such radius.
+
+    d_in and d_out come from a cos(2 pi d / nlon) table by searchsorted;
+    both zone tests keep a margin scaled to rho_max^2. Center rings go
+    in blocks of ``_RING_BLOCK``, and band nodes in spans of about as
+    many nodes as a block has (center, ring) pairs, so memory stays
+    bounded at any bandlimit and radius.
+    """
+    tr = transform_for(grid)
+    nlat, n = grid.nlat, grid.nlon
+    rho = rho.reshape(nlat, n)
+    w = density.ravel()
+    x, y, z = pts.T.copy()
+    r2 = radius * radius
+    margin = _MARGIN * float(rho.max()) ** 2
+    lo, hi = rho.min(axis=1), rho.max(axis=1)
+    st, ct = tr.sin_t, np.cos(tr.theta)
+    # |x - y|^2 >= 4 rho rho' sin^2(dtheta / 2) rules out whole ring pairs
+    half_dth = 0.5 * (tr.theta[:, None] - tr.theta[None, :])
+    keep = 4.0 * np.outer(lo, lo) * np.sin(half_dth) ** 2 <= r2 + margin
+    half = n // 2
+    neg_cos = -np.cos(2.0 * np.pi * np.arange(half + 1) / n)  # increasing in d
+    # prefix[b, k]: ring b summed over its first k nodes, twice around
+    prefix = np.zeros((nlat, 2 * n + 1))
+    np.cumsum(np.tile(w.reshape(nlat, n), 2), axis=1, out=prefix[:, 1:])
+    prefix = prefix.ravel()
+    j = np.arange(n)
+    sums = np.empty(nlat * n)
+    for a0 in range(0, nlat, _RING_BLOCK):
+        a, b = np.nonzero(keep[a0 : a0 + _RING_BLOCK])
+        a += a0
+        rc = rho[a]
+        rc2 = rc * rc
+        lo_b, hi_b = lo[b, None], hi[b, None]
+        cc, ss = (ct[a] * ct[b])[:, None], (st[a] * st[b])[:, None]
+
+        def cosine(rp, slack):
+            # the cosine of the angle at which radius rp lies at r^2 + slack
+            return (rc2 + rp * rp - r2 + slack) / (2.0 * rc * rp)
+
+        def reach(g):
+            # the largest d with cos(2 pi d / n) >= (g - cc) / ss, or -1
+            return np.searchsorted(neg_cos, ((cc - g) / ss).ravel(), "right") - 1
+
+        # inside at both ends of [lo_b, hi_b] is inside for all of it; outside
+        # is tested at the radius that minimizes g, sqrt(rc^2 - r^2 - margin)
+        d_in = reach(np.maximum(cosine(lo_b, margin), cosine(hi_b, margin)))
+        nearest = np.clip(np.sqrt(np.maximum(rc2 - r2 - margin, 0.0)), lo_b, hi_b)
+        d_out = np.maximum(reach(cosine(nearest, -margin)), d_in)
+        len_in = np.clip(2 * d_in + 1, 0, n)
+        len_out = np.clip(2 * d_out + 1, 0, n)
+
+        # one row per (center, point ring) pair
+        pb, cj = np.repeat(b, n), np.tile(j, len(a))
+        start = pb * (2 * n + 1) + (cj - d_in) % n
+        center = np.repeat(a - a0, n) * n + cj
+        size = min(_RING_BLOCK, nlat - a0) * n
+        block = np.bincount(center, prefix[start + len_in] - prefix[start], size)
+
+        # band: the out-window [j - d_out, j + d_out] less the in-window,
+        # which starts d_out - d_in nodes into it; taken in spans of rows
+        # holding about as many band nodes as the block has rows
+        count = len_out - len_in
+        end = np.cumsum(count)
+        first = end - count
+        n_rows = count.size
+        cuts = np.searchsorted(
+            end, n_rows * np.arange(1, end[-1] // n_rows + 1), "right"
+        )
+        bounds = np.unique(np.r_[0, cuts, n_rows])
+        for r0, r1 in zip(bounds[:-1], bounds[1:]):
+            rows = np.repeat(np.arange(r0, r1), count[r0:r1])
+            t = np.arange(rows.size) + first[r0] - first[rows]
+            t += len_in[rows] * (t >= d_out[rows] - d_in[rows])
+            p = center[rows] + a0 * n
+            q = pb[rows] * n + (cj[rows] - d_out[rows] + t) % n
+            d2 = (x[p] - x[q]) ** 2
+            d2 += (y[p] - y[q]) ** 2
+            d2 += (z[p] - z[q]) ** 2
+            hit = d2 <= r2
+            block += np.bincount(center[rows][hit], w[q][hit], size)
+        sums[a0 * n : a0 * n + size] = block
+    return sums

@@ -414,7 +414,8 @@ def read_coeffs_csv(path, grid: GridSpec | None = None) -> SphericalField:
     """Read an l,m,value CSV into a field.
 
     When grid is omitted, the smallest valid bandlimit covering the rows
-    (at least 4) is used with default oversampling.
+    (at least 4) is used with default oversampling. A repeated (l, m)
+    row, a non-finite value or an order with |m| > l raises ValueError.
     """
     rows = {}
     with open(path) as fh:
@@ -429,7 +430,10 @@ def read_coeffs_csv(path, grid: GridSpec | None = None) -> SphericalField:
             key = (int(l_s), int(m_s))
             if key in rows:
                 raise ValueError(f"repeated row l={key[0]}, m={key[1]}: {line!r}")
-            rows[key] = float(v_s)
+            value = float(v_s)
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite coefficient in row {line!r}")
+            rows[key] = value
     if not rows:
         raise ValueError("no coefficient rows found")
     lmax = max(l for l, _ in rows)

@@ -323,6 +323,16 @@ def test_diagnose_rejects_unknown_extension(capsys):
     assert ".csv or .obj" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_diagnose_rejects_non_finite_coefficients(tmp_path, capsys, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"l,m,value\n0,0,{float(SQRT4PI)!r}\n2,0,{value}\n")
+    assert main(["diagnose", "--state", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"non-finite coefficient in row '2,0,{value}'" in err
+    assert "chart" not in err
+
+
 def test_rescale_state_file(tmp_path):
     st = shapes.generate("perturbed", "spectral", perturb="2,0,0.01")
     src = str(tmp_path / "state.csv")

@@ -6,13 +6,18 @@ reversal of recorded trajectories.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.spatial import cKDTree
 
 from oracles import ellipsoid_curvatures, spherical_cap_area
-from triheat import diagnostics, flow, radial, shapes
-from triheat.spherical import GridSpec, transform_for
+from triheat import diagnostics, flow, mesh, radial, shapes
+from triheat.radial import RadialGraphState
+from triheat.spherical import GridSpec, SphericalField, synthesize, transform_for
 
 GRID = GridSpec.for_bandlimit(16)
 AXES = (1.0, 1.0, 1.2)
@@ -337,6 +342,104 @@ def test_concentration_rejects_bad_radius_on_both_backends(radius):
             diagnostics.concentration(state, radius)
         with pytest.raises(ValueError, match="radius must be positive"):
             diagnostics.compute_record(state, radius)
+
+
+# ---------------------------------------------------------------------------
+# ring-window ball sums against brute force
+# ---------------------------------------------------------------------------
+
+RING_PROPERTY = settings(
+    max_examples=60, derandomize=True, database=None, deadline=None
+)
+
+
+@hst.composite
+def ring_grids(draw):
+    """A grid with any valid resolution (odd nlon included), a length
+    scale from 1e-2 to 1e2, a relative radius amplitude up to 0.3, a
+    ball radius from below the node spacing to past the diameter or
+    infinite, and a seed for the fields drawn on the grid."""
+    L = draw(hst.integers(4, 10))
+    nlat = draw(hst.integers(L + 1, L + 6))
+    grid = GridSpec(L, nlat, draw(hst.integers(2 * L + 1, 2 * L + 9)))
+    scale = 10.0 ** draw(hst.floats(-2.0, 2.0))
+    amplitude = draw(hst.floats(0.0, 0.3))
+    relative = hst.floats(-3.0, 0.5).map(lambda e: 10.0**e)
+    radius = scale * draw(hst.one_of(relative, hst.just(math.inf)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    return grid, scale, amplitude, radius, rng
+
+
+def grid_points(grid, rho):
+    tr = transform_for(grid)
+    st, ct = tr.sin_t[:, None], np.cos(tr.theta)[:, None]
+    cp, sp = np.cos(tr.phi)[None, :], np.sin(tr.phi)[None, :]
+    xyz = (rho * st * cp, rho * st * sp, rho * ct)
+    return np.stack([c.ravel() for c in xyz], axis=1)
+
+
+def dense_ball_sums(points, density, radius):
+    """Every center's ball sum by a double loop over all point pairs."""
+    d2 = (points[:, None, 0] - points[None, :, 0]) ** 2
+    d2 += (points[:, None, 1] - points[None, :, 1]) ** 2
+    d2 += (points[:, None, 2] - points[None, :, 2]) ** 2
+    return np.where(d2 <= radius * radius, density[None, :], 0.0).sum(axis=1)
+
+
+@RING_PROPERTY
+@given(ring_grids())
+def test_ring_ball_sums_equal_a_dense_double_loop(drawn):
+    grid, scale, amplitude, radius, rng = drawn
+    # node radii with no smoothness at all: the zones only use ring ranges
+    rho = scale * (1.0 + amplitude * rng.uniform(-1.0, 1.0, (grid.nlat, grid.nlon)))
+    pts = grid_points(grid, rho)
+    density = rng.normal(size=rho.size)
+    got = radial._ring_ball_sums(grid, rho, pts, density, radius)
+    want = dense_ball_sums(pts, density, radius)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(density).sum()
+
+
+@RING_PROPERTY
+@given(ring_grids())
+def test_spectral_concentration_equals_the_tree_ball_sum(drawn):
+    grid, scale, amplitude, radius, rng = drawn
+    L = grid.bandlimit
+    c = np.zeros((L + 1, 2 * L + 1))
+    # a random bump of degrees 1 to 3, scaled to the drawn amplitude
+    c[1:4] = rng.normal(size=(3, 2 * L + 1))
+    c[np.abs(np.arange(-L, L + 1)) > np.arange(L + 1)[:, None]] = 0.0
+    bump = synthesize(SphericalField(grid, coeffs=c)).values
+    c *= scale * amplitude / np.abs(bump).max()
+    c[0, L] = scale * np.sqrt(4.0 * np.pi)
+    st = RadialGraphState(grid, coeffs=c)
+    pts, wts = radial.node_cloud(st)
+    density = radial.curvature_bundle(st).norm_a_sq.ravel() * wts
+    got = radial.concentration(st, radius)
+    want = mesh.max_ball_sum(pts, pts, density, radius)
+    assert abs(got - want) <= 1e-12 * density.sum()
+    assert got == diagnostics.concentration(st, radius)
+
+
+def test_spectral_concentration_at_l128_matches_the_tree():
+    st = shapes.perturbed_sphere_state(
+        GridSpec.for_bandlimit(128), 1.0, [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]
+    )
+    pts, wts = radial.node_cloud(st)
+    density = radial.curvature_bundle(st).norm_a_sq.ravel() * wts
+    sums = radial._ring_ball_sums(st.grid, st.values, pts, density, 0.25)
+    alpha = radial.concentration(st, 0.25)
+    assert alpha == sums.max()
+    # the tree's self-join would list ~7e7 pairs here, so it joins the 200
+    # centers with the largest ring sums, and then a spread of others
+    top = np.argsort(sums)[-200:]
+    assert abs(mesh.max_ball_sum(pts, pts[top], density, 0.25) / alpha - 1.0) <= 1e-12
+    sample = np.random.default_rng(7).permutation(len(pts))[:2000]
+    for idx in np.array_split(sample, 4):
+        want = mesh.max_ball_sum(pts, pts[idx], density, 0.25)
+        assert abs(want / sums[idx].max() - 1.0) <= 1e-12
+    balls = cKDTree(pts).query_ball_point(pts[sample], 0.25)
+    want = np.array([density[ball].sum() for ball in balls])
+    assert np.abs(sums[sample] - want).max() <= 1e-12 * alpha
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,18 @@ def test_sphere_run_converges_immediately():
     assert traj.meta["backend"] == "spectral"
 
 
+def test_mesh_run_does_not_converge_through_the_clamp():
+    m = shapes.icosphere(2)
+    # angle-defect K exceeds H^2/4 at every vertex, so every |A*|^2 is
+    # clamped to 0 and sup |A*| reads 0 on a mesh that is not stationary
+    assert mesh.tracefree_norm_sq(m)[1] == m.n_vertices
+    traj = flow.run(m, 1e-3)
+    assert traj.records[0].ao_inf == 0.0
+    assert traj.records[0].gap_residual > 0.1
+    assert traj.stop_reason == "t_end"
+    assert traj.final_state.time == 1e-3
+
+
 def test_perturbed_run_converges_to_a_sphere():
     st = mode_state(1.0, [(2, 0, 1e-2)])
     traj = flow.run(st, 1.0, stop_ao_inf=1e-7, cadence=50)

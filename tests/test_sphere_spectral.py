@@ -383,6 +383,14 @@ def test_read_coeffs_csv_rejects_repeated_rows(tmp_path):
         read_coeffs_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_read_coeffs_csv_rejects_non_finite_rows(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"l,m,value\n0,0,3.5\n2,0,{value}\n")
+    with pytest.raises(ValueError, match=f"non-finite coefficient in row '2,0,{value}"):
+        read_coeffs_csv(path)
+
+
 def test_grid_csv_layout(tmp_path):
     c = np.zeros((L + 1, 2 * L + 1))
     c[0, L] = SQRT4PI
