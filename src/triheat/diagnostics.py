@@ -174,11 +174,7 @@ def _graph_rescaled(state: RadialGraphState, factor: float, center):
 
 def _mesh_rescaled(m: TriangleMesh, factor: float, center):
     x = np.zeros(3) if center is None else np.asarray(center, dtype=float)
-    return TriangleMesh(
-        (m.vertices - x) / factor,
-        m.faces,
-        time=m.time / factor**6,
-    )
+    return m._moved((m.vertices - x) / factor, m.time / factor**6)
 
 
 def _backend(state) -> _Backend:

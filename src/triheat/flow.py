@@ -82,7 +82,7 @@ def step_mesh(m: TriangleMesh, dt: float) -> TriangleMesh:
         raise ValueError("dt must be positive")
     _, _, w2 = mesh_mod.laplacian_chain(m)
     vel = -w2[:, None] * mesh_mod.vertex_normals(m)
-    return TriangleMesh(m.vertices + dt * vel, m.faces, time=m.time + dt)
+    return m._moved(m.vertices + dt * vel, m.time + dt)
 
 
 def _mesh_step_ok(old: TriangleMesh, new: TriangleMesh) -> bool:
@@ -91,7 +91,8 @@ def _mesh_step_ok(old: TriangleMesh, new: TriangleMesh) -> bool:
     disp = np.linalg.norm(new.vertices - old.vertices, axis=1).max()
     if disp > 0.5 * mesh_mod.min_edge_length(old):
         return False
-    if mesh_mod._face_double_areas(new.vertices, new.faces).min() <= 0.0:
+    # the face geometry stays cached for the next step's operators
+    if mesh_mod._faces(new).dbl_areas.min() <= 0.0:
         return False
     return mesh_mod.signed_volume(new) > 0.0
 

@@ -14,6 +14,8 @@ with zero row sums and Delta u = M^{-1} W u.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
@@ -45,9 +47,15 @@ class TriangleMesh:
     topology with nondegenerate faces. The flow loop validates once up
     front and then steps without re-checking topology, which never
     changes during a run.
+
+    Index arrays that depend only on the faces (the sparsity pattern of
+    the stiffness matrix, the face corners, the edge list) live in one
+    topology entry, built on first use and handed on to every mesh that
+    a step, translation or rescaling makes from this one. The face
+    geometry of the vertex positions is built once, into ``_cache``.
     """
 
-    __slots__ = ("vertices", "faces", "time", "_cache")
+    __slots__ = ("vertices", "faces", "time", "_cache", "_topology")
 
     def __init__(self, vertices, faces, time: float = 0.0):
         vertices = np.asarray(vertices, dtype=float)
@@ -60,6 +68,7 @@ class TriangleMesh:
         self.faces = faces
         self.time = float(time)
         self._cache = {}
+        self._topology = None
 
     @property
     def n_vertices(self) -> int:
@@ -96,14 +105,16 @@ class TriangleMesh:
         uniq, counts = np.unique(keys, return_counts=True)
         if counts.max(initial=1) > 1:
             raise ValueError("directed edge repeats; mesh is not an oriented manifold")
-        rev = set((edges[:, 1] * len(v) + edges[:, 0]).tolist())
-        if rev != set(uniq.tolist()):
+        # the keys are distinct, so the reversed keys are too: the two sets
+        # agree exactly when the sorted reversed keys equal uniq
+        rev = np.sort(edges[:, 1] * len(v) + edges[:, 0])
+        if not np.array_equal(rev, uniq):
             raise ValueError("mesh has boundary or inconsistent orientation")
         n_edges = len(uniq) // 2
         euler = len(v) - n_edges + len(f)
         if euler != 2:
             raise ValueError(f"Euler characteristic {euler}, expected 2 (sphere)")
-        if _face_double_areas(v, f).min() <= 0.0:
+        if _faces(self).dbl_areas.min() <= 0.0:
             raise ValueError("mesh has zero-area faces")
         if signed_volume(self) <= 0.0:
             raise ValueError(
@@ -111,7 +122,13 @@ class TriangleMesh:
             )
 
     def translated(self, offset) -> "TriangleMesh":
-        return TriangleMesh(self.vertices + np.asarray(offset, float), self.faces, self.time)
+        return self._moved(self.vertices + np.asarray(offset, float), self.time)
+
+    def _moved(self, vertices, time: float) -> "TriangleMesh":
+        """A mesh of new vertices on these faces, sharing the topology entry."""
+        out = TriangleMesh(vertices, self.faces, time)
+        out._topology = self._topology
+        return out
 
     def __repr__(self):
         return (
@@ -120,16 +137,86 @@ class TriangleMesh:
         )
 
 
-def _face_corners(v: np.ndarray, f: np.ndarray):
-    p0 = v[f[:, 0]]
-    p1 = v[f[:, 1]]
-    p2 = v[f[:, 2]]
-    return p0, p1, p2
+class _Topology(NamedTuple):
+    """Index arrays fixed by a faces array, shared by the meshes on it."""
+
+    faces: np.ndarray  # the array this entry was built from
+    corners: np.ndarray  # f.T.ravel(): corner k of every face, k = 0, 1, 2
+    indptr: np.ndarray  # CSR pattern of W, diagonal included
+    indices: np.ndarray
+    slots: np.ndarray  # where each of the 6F cotangent terms lands in W.data
+    diag: np.ndarray  # where each row's diagonal lies in W.data
+    off: np.ndarray  # the off-diagonal positions of W.data, row by row
+    rows: np.ndarray  # rows with off-diagonal entries
+    starts: np.ndarray  # where each of those rows begins in W.data[off]
+    edges: np.ndarray  # undirected edges (a, b), a < b, sorted by a * n + b
 
 
-def _face_double_areas(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    p0, p1, p2 = _face_corners(v, f)
-    return np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+def _topology(mesh: TriangleMesh) -> _Topology:
+    """The mesh's topology entry, built here if it has none for its faces."""
+    topo = mesh._topology
+    if topo is not None and topo.faces is mesh.faces:
+        return topo
+    f, n = mesh.faces, mesh.n_vertices
+    i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
+    I = np.concatenate([i1, i2, i2, i0, i0, i1])
+    J = np.concatenate([i2, i1, i0, i2, i1, i0])
+    d = np.arange(n)
+    keys, inv = np.unique(np.concatenate([I * n + J, d * (n + 1)]), return_inverse=True)
+    r, c = np.divmod(keys, n)
+    # scipy picks the index dtype once, so filling W later copies nothing
+    pattern = sp.csr_matrix(
+        (np.zeros(len(keys)), c, np.searchsorted(r, np.arange(n + 1))), shape=(n, n)
+    )
+    off_indptr = pattern.indptr - np.arange(n + 1)
+    rows = np.flatnonzero(np.diff(off_indptr))
+    topo = _Topology(
+        faces=f,
+        corners=f.T.ravel(),
+        indptr=pattern.indptr,
+        indices=pattern.indices,
+        slots=inv[: len(I)],
+        diag=inv[len(I) :],
+        off=np.flatnonzero(r != c),
+        rows=rows,
+        starts=off_indptr[rows],
+        edges=np.stack([r[r < c], c[r < c]], axis=1),
+    )
+    mesh._topology = topo
+    return topo
+
+
+class _FaceGeometry(NamedTuple):
+    corners: tuple  # p0, p1, p2, each (F, 3)
+    edges: tuple  # e0 = p2 - p1, e1 = p0 - p2, e2 = p1 - p0: e_k faces corner k
+    lengths: tuple  # |e0|, |e1|, |e2|
+    dots: tuple  # at corner k, the dot of the two edges leaving it
+    normals: np.ndarray  # cross(p1 - p0, p2 - p0), length 2 * area, outward
+    dbl_areas: np.ndarray
+
+
+def _faces(mesh: TriangleMesh) -> _FaceGeometry:
+    """Per-face geometry of this vertex set, computed once."""
+    if "faces" in mesh._cache:
+        return mesh._cache["faces"]
+    p0, p1, p2 = mesh.vertices[_topology(mesh).corners].reshape(3, -1, 3)
+    e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
+    # p2 - p0 is -e1 to the last bit, since rounding is symmetric
+    fn = np.cross(e2, -e1)
+    geo = _FaceGeometry(
+        corners=(p0, p1, p2),
+        edges=(e0, e1, e2),
+        lengths=tuple(np.linalg.norm(e, axis=1) for e in (e0, e1, e2)),
+        dots=(
+            np.einsum("ij,ij->i", -e1, e2),
+            np.einsum("ij,ij->i", -e2, e0),
+            np.einsum("ij,ij->i", -e0, e1),
+        ),
+        normals=fn,
+        dbl_areas=np.linalg.norm(fn, axis=1),
+    )
+    mesh._cache["faces"] = geo
+    return geo
 
 
 def build_operators(mesh: TriangleMesh):
@@ -145,24 +232,22 @@ def build_operators(mesh: TriangleMesh):
     """
     if "ops" in mesh._cache:
         return mesh._cache["ops"]
-    v, f = mesh.vertices, mesh.faces
-    n = len(v)
-    p0, p1, p2 = _face_corners(v, f)
-    e0 = p2 - p1  # edge opposite vertex 0
-    e1 = p0 - p2
-    e2 = p1 - p0
-    dblA = np.linalg.norm(np.cross(e1, e2), axis=1)
+    n = mesh.n_vertices
+    topo = _topology(mesh)
+    geo = _faces(mesh)
+    e0, e1, e2 = geo.edges
+    dblA = geo.dbl_areas
     # cot at corner k = dot of adjacent edges / (2 * face area)
-    cot0 = np.einsum("ij,ij->i", -e1, e2) / dblA
-    cot1 = np.einsum("ij,ij->i", -e2, e0) / dblA
-    cot2 = np.einsum("ij,ij->i", -e0, e1) / dblA
+    cot0, cot1, cot2 = (d / dblA for d in geo.dots)
 
-    i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
-    I = np.concatenate([i1, i2, i2, i0, i0, i1])
-    J = np.concatenate([i2, i1, i0, i2, i1, i0])
-    data = 0.5 * np.concatenate([cot0, cot0, cot1, cot1, cot2, cot2])
-    W = sp.coo_matrix((data, (I, J)), shape=(n, n)).tocsr()
-    W = W - sp.diags(np.asarray(W.sum(axis=1)).ravel())
+    terms = 0.5 * np.concatenate([cot0, cot0, cot1, cot1, cot2, cot2])
+    data = np.bincount(topo.slots, terms, len(topo.indices))
+    # each diagonal is minus its row's off-diagonal sum, added in column
+    # order as scipy's row sum adds them
+    rowsum = np.zeros(n)
+    rowsum[topo.rows] = np.add.reduceat(data[topo.off], topo.starts)
+    data[topo.diag] = -rowsum
+    W = sp.csr_matrix((data, topo.indices, topo.indptr), shape=(n, n))
 
     sq0 = np.einsum("ij,ij->i", e0, e0)
     sq1 = np.einsum("ij,ij->i", e1, e1)
@@ -179,7 +264,7 @@ def build_operators(mesh: TriangleMesh):
     vor0 = np.where(obtuse, np.where(ob0, fA / 2.0, fA / 4.0), vor0)
     vor1 = np.where(obtuse, np.where(ob1, fA / 2.0, fA / 4.0), vor1)
     vor2 = np.where(obtuse, np.where(ob2, fA / 2.0, fA / 4.0), vor2)
-    M = np.bincount(f.T.ravel(), np.concatenate([vor0, vor1, vor2]), n)
+    M = np.bincount(topo.corners, np.concatenate([vor0, vor1, vor2]), n)
 
     mesh._cache["ops"] = (W, M)
     return W, M
@@ -189,11 +274,11 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     """Outward unit normals by area-weighted face-normal averaging."""
     if "normals" in mesh._cache:
         return mesh._cache["normals"]
-    v, f = mesh.vertices, mesh.faces
-    p0, p1, p2 = _face_corners(v, f)
-    fn = np.cross(p1 - p0, p2 - p0)  # length 2 * area, outward for ccw faces
-    corners = f.T.ravel()
-    acc = np.stack([np.bincount(corners, np.tile(x, 3), len(v)) for x in fn.T], axis=1)
+    corners = _topology(mesh).corners
+    n = mesh.n_vertices
+    acc = np.stack(
+        [np.bincount(corners, np.tile(x, 3), n) for x in _faces(mesh).normals.T], axis=1
+    )
     nrm = acc / np.linalg.norm(acc, axis=1, keepdims=True)
     mesh._cache["normals"] = nrm
     return nrm
@@ -230,15 +315,13 @@ def gauss_curvature(mesh: TriangleMesh) -> np.ndarray:
     """Vertex Gauss curvature, angle defect over mixed-Voronoi mass."""
     if "K" in mesh._cache:
         return mesh._cache["K"]
-    v, f = mesh.vertices, mesh.faces
-    defect = np.full(len(v), 2.0 * np.pi)
-    p0, p1, p2 = _face_corners(v, f)
-    for k, (a, b, c) in enumerate(((p0, p1, p2), (p1, p2, p0), (p2, p0, p1))):
-        u = b - a
-        w = c - a
-        cosang = np.einsum("ij,ij->i", u, w) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
-        )
+    f = mesh.faces
+    defect = np.full(mesh.n_vertices, 2.0 * np.pi)
+    geo = _faces(mesh)
+    l0, l1, l2 = geo.lengths
+    # corner k lies between the edges e_{k+2} and -e_{k+1}
+    for k, (dot, la, lb) in enumerate(zip(geo.dots, (l2, l0, l1), (l1, l2, l0))):
+        cosang = dot / (la * lb)
         ang = np.arccos(np.clip(cosang, -1.0, 1.0))
         np.add.at(defect, f[:, k], -ang)
     _, M = build_operators(mesh)
@@ -263,27 +346,19 @@ def tracefree_norm_sq(mesh: TriangleMesh):
 
 
 def area(mesh: TriangleMesh) -> float:
-    return float(_face_double_areas(mesh.vertices, mesh.faces).sum() / 2.0)
+    return float(_faces(mesh).dbl_areas.sum() / 2.0)
 
 
 def signed_volume(mesh: TriangleMesh) -> float:
     """Enclosed volume, positive for outward-oriented meshes."""
-    p0, p1, p2 = _face_corners(mesh.vertices, mesh.faces)
+    p0, p1, p2 = _faces(mesh).corners
     return float(np.einsum("ij,ij->i", p0, np.cross(p1, p2)).sum() / 6.0)
 
 
 def min_edge_length(mesh: TriangleMesh) -> float:
-    if "hmin" in mesh._cache:
-        return mesh._cache["hmin"]
-    v, f = mesh.vertices, mesh.faces
-    p0, p1, p2 = _face_corners(v, f)
-    h = min(
-        np.linalg.norm(p1 - p0, axis=1).min(),
-        np.linalg.norm(p2 - p1, axis=1).min(),
-        np.linalg.norm(p0 - p2, axis=1).min(),
-    )
-    mesh._cache["hmin"] = float(h)
-    return float(h)
+    # the norms, not the square root of the least squared length, which
+    # can differ in the last bit and so move auto_dt
+    return float(min(x.min() for x in _faces(mesh).lengths))
 
 
 def dirichlet_energy(mesh: TriangleMesh, u: np.ndarray) -> float:
@@ -303,14 +378,16 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     ao2, _ = tracefree_norm_sq(mesh)
     _, M = build_operators(mesh)
     density = (ao2 + 0.5 * H * H) * M
-    v, f = mesh.vertices, mesh.faces
-    # sorted index pairs give each undirected edge one midpoint, also on
-    # meshes that were never validated
-    edges = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-    keys = np.unique(edges[:, 0] * len(v) + edges[:, 1])
-    mids = (v[keys // len(v)] + v[keys % len(v)]) / 2.0
-    centers = np.concatenate([v, mids])
+    v = mesh.vertices
+    # the topology lists each undirected edge once, also on meshes that
+    # were never validated
+    a, b = _topology(mesh).edges.T
+    centers = np.concatenate([v, (v[a] + v[b]) / 2.0])
     return max_ball_sum(v, centers, density, radius)
+
+
+# extra centers joined against the point tree at once in max_ball_sum
+_CENTER_BLOCK = 4096
 
 
 def max_ball_sum(points, centers, density, radius: float) -> float:
@@ -322,8 +399,10 @@ def max_ball_sum(points, centers, density, radius: float) -> float:
     edge midpoints), those ball sums come from one self-join of the
     point tree, which lists each unordered pair within the radius once:
     every point adds its density to its partner's sum and to its own.
-    The remaining centers are joined against the point tree and reduced
-    with one bincount. A center with no point in range sums to 0.
+    The remaining centers are joined against the point tree in blocks of
+    ``_CENTER_BLOCK``, so the pairs held at once stay bounded as the
+    center count grows; each block is reduced with one bincount. A
+    center with no point in range sums to 0.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
@@ -344,11 +423,10 @@ def max_ball_sum(points, centers, density, radius: float) -> float:
         sums = density + np.bincount(i, density[j], n) + np.bincount(j, density[i], n)
         best = sums.max()
         centers = centers[n:]
-    if len(centers):
-        pairs = cKDTree(centers).sparse_distance_matrix(
-            tree, radius, output_type="ndarray"
-        )
-        sums = np.bincount(pairs["i"], density[pairs["j"]], len(centers))
+    for start in range(0, len(centers), _CENTER_BLOCK):
+        block = centers[start : start + _CENTER_BLOCK]
+        pairs = cKDTree(block).sparse_distance_matrix(tree, radius, output_type="ndarray")
+        sums = np.bincount(pairs["i"], density[pairs["j"]], len(block))
         best = max(best, sums.max())
     return float(best)
 

@@ -323,6 +323,27 @@ def test_rescale_rejects_off_center_graphs_and_bad_factor():
         flow.rescale(st, 0.0)
 
 
+def test_mesh_steps_equal_steps_on_meshes_built_afresh():
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1), (3, 1, 0.05)])
+    dt = flow.auto_dt(m)
+    cached = bare = m
+    for _ in range(20):
+        cached = flow.step_mesh(cached, dt)
+        # a new mesh on a copy of the faces carries no cache and no topology
+        bare = flow.step_mesh(TriangleMesh(bare.vertices, bare.faces.copy(), bare.time), dt)
+        assert np.array_equal(cached.vertices, bare.vertices)
+    assert cached.time == bare.time
+
+
+def test_a_mesh_run_builds_its_topology_once():
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1)])
+    traj = flow.run(m, 30 * flow.auto_dt(m), cadence=10)
+    assert traj.meta["steps"] == 30
+    topo = mesh._topology(m)
+    assert all(e.state._topology is topo for e in traj.entries)
+    assert flow.rescale(traj.final_state, 2.0)._topology is topo
+
+
 # ---------------------------------------------------------------------------
 # rescaling by random factors
 # ---------------------------------------------------------------------------

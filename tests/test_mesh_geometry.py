@@ -7,6 +7,9 @@ cap areas for concentration, and exact combinatorial identities
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from oracles import ellipsoid_curvatures, spherical_cap_area
 from triheat import mesh, shapes
@@ -127,6 +130,110 @@ def test_vertex_normals_equal_the_add_at_reference():
         np.add.at(acc, f[:, k], fn)
     want = acc / np.linalg.norm(acc, axis=1, keepdims=True)
     assert np.array_equal(mesh.vertex_normals(m), want)
+
+
+def reference_operators(m):
+    """W and M assembled on their own, with a COO -> CSR sum of the terms."""
+    v, f = m.vertices, m.faces
+    n = len(v)
+    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
+    dblA = np.linalg.norm(np.cross(e1, e2), axis=1)
+    cot0 = np.einsum("ij,ij->i", -e1, e2) / dblA
+    cot1 = np.einsum("ij,ij->i", -e2, e0) / dblA
+    cot2 = np.einsum("ij,ij->i", -e0, e1) / dblA
+    i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
+    I = np.concatenate([i1, i2, i2, i0, i0, i1])
+    J = np.concatenate([i2, i1, i0, i2, i1, i0])
+    data = 0.5 * np.concatenate([cot0, cot0, cot1, cot1, cot2, cot2])
+    W = sp.coo_matrix((data, (I, J)), shape=(n, n)).tocsr()
+    W = W - sp.diags(np.asarray(W.sum(axis=1)).ravel())
+    sq0, sq1, sq2 = (np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2))
+    fA = 0.5 * dblA
+    vor = [
+        (sq2 * cot2 + sq1 * cot1) / 8.0,
+        (sq0 * cot0 + sq2 * cot2) / 8.0,
+        (sq1 * cot1 + sq0 * cot0) / 8.0,
+    ]
+    obs = [cot0 < 0.0, cot1 < 0.0, cot2 < 0.0]
+    obtuse = obs[0] | obs[1] | obs[2]
+    M = np.zeros(n)
+    for k in range(3):
+        vor_k = np.where(obtuse, np.where(obs[k], fA / 2.0, fA / 4.0), vor[k])
+        np.add.at(M, f[:, k], vor_k)
+    return W, M
+
+
+def reference_normals(m):
+    v, f = m.vertices, m.faces
+    fn = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    acc = np.zeros_like(v)
+    for k in range(3):
+        np.add.at(acc, f[:, k], fn)
+    return acc / np.linalg.norm(acc, axis=1, keepdims=True)
+
+
+def reference_min_edge_length(m):
+    v, f = m.vertices, m.faces
+    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    return float(
+        min(np.linalg.norm(b - a, axis=1).min() for a, b in ((p0, p1), (p1, p2), (p2, p0)))
+    )
+
+
+def reference_gauss_curvature(m):
+    v, f = m.vertices, m.faces
+    defect = np.full(len(v), 2.0 * np.pi)
+    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    for k, (a, b, c) in enumerate(((p0, p1, p2), (p1, p2, p0), (p2, p0, p1))):
+        u, w = b - a, c - a
+        cosang = np.einsum("ij,ij->i", u, w) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
+        )
+        np.add.at(defect, f[:, k], -np.arccos(np.clip(cosang, -1.0, 1.0)))
+    return defect / reference_operators(m)[1]
+
+
+def assert_operators_equal_the_reference(m):
+    W, M = mesh.build_operators(m)
+    W_ref, M_ref = reference_operators(m)
+    assert np.array_equal(W.indptr, W_ref.indptr)
+    assert np.array_equal(W.indices, W_ref.indices)
+    assert np.array_equal(W.data, W_ref.data)
+    assert np.array_equal(M, M_ref)
+    assert np.array_equal(mesh.vertex_normals(m), reference_normals(m))
+    assert mesh.min_edge_length(m) == reference_min_edge_length(m)
+    assert np.array_equal(mesh.gauss_curvature(m), reference_gauss_curvature(m))
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["round", "jittered"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cached_operators_equal_a_standalone_reference(n, jitter):
+    # unjittered icosphere(4) is where the square root of the least
+    # squared edge length is one ulp off the least norm
+    m = shapes.icosphere(n)
+    if jitter:
+        rng = np.random.default_rng(n)
+        h = reference_min_edge_length(m)
+        m = TriangleMesh(m.vertices + 0.1 * h * rng.normal(size=m.vertices.shape), m.faces)
+    assert_operators_equal_the_reference(m)
+
+
+def test_a_mesh_on_other_faces_builds_its_own_topology():
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1)])
+    mesh.build_operators(m)
+    # one face flipped: the same edges, but the corners move round
+    f = m.faces.copy()
+    f[0] = f[0, ::-1]
+    flipped = TriangleMesh(m.vertices, f)
+    assert mesh._topology(flipped) is not mesh._topology(m)
+    assert_operators_equal_the_reference(flipped)
+    # a mesh made from m by a move shares the entry, until its faces change
+    moved = m.translated((0.1, 0.0, 0.0))
+    assert mesh._topology(moved) is mesh._topology(m)
+    moved.faces = f
+    assert mesh._topology(moved) is not mesh._topology(m)
+    assert_operators_equal_the_reference(moved)
 
 
 def test_laplacian_of_coordinate_converges():
@@ -397,6 +504,34 @@ def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
     radius = 0.5 * (diameter + diagonal)
     assert_ball_max(pts, pts, dens, radius)
     assert abs(mesh.max_ball_sum(pts, pts, dens, radius) / dens.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    block=hst.integers(1, 9),
+    n_extra=hst.integers(2, 60),
+    radius=hst.floats(0.05, 1.5),
+)
+def test_max_ball_sum_joins_extra_centers_block_by_block(seed, block, n_extra, radius):
+    rng, pts, dens = random_cloud(seed, 30)
+    dens = dens - 0.4  # signed, so the best ball can be any one
+    extra = rng.uniform(-1.2, 1.2, size=(max(n_extra, block + 1), 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh, "_CENTER_BLOCK", block)
+        assert_ball_max(pts, np.concatenate([pts, extra]), dens, radius)
+        assert_ball_max(pts, extra, dens, radius)
+
+
+def test_max_ball_sum_best_center_in_the_last_block():
+    rng, pts, dens = random_cloud(11, 20)
+    dens[7] = 100.0
+    centers = rng.uniform(-1.2, 1.2, size=(mesh._CENTER_BLOCK + 37, 3))
+    # only the last center's ball holds the heavy point
+    centers[np.linalg.norm(centers - pts[7], axis=1) <= 0.3] = 10.0
+    centers[-1] = pts[7]
+    assert_ball_max(pts, centers, dens, 0.3)
+    assert mesh.max_ball_sum(pts, centers, dens, 0.3) >= 100.0
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
