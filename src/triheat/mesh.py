@@ -195,25 +195,39 @@ class _FaceGeometry(NamedTuple):
     dbl_areas: np.ndarray
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row lengths of an (n, 3) array, bit for bit as np.linalg.norm(x, axis=1)."""
+    s = x * x
+    return np.sqrt(s[:, 0] + s[:, 1] + s[:, 2])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (n, 3) arrays, bit for bit as np.cross(a, b)."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
 def _faces(mesh: TriangleMesh) -> _FaceGeometry:
     """Per-face geometry of this vertex set, computed once."""
     if "faces" in mesh._cache:
         return mesh._cache["faces"]
     p0, p1, p2 = mesh.vertices[_topology(mesh).corners].reshape(3, -1, 3)
     e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
-    # p2 - p0 is -e1 to the last bit, since rounding is symmetric
-    fn = np.cross(e2, -e1)
+    # p2 - p0 is -e1 to the last bit, since rounding is symmetric, so
+    # cross(e2, -e1) = cross(e1, e2) to the last bit too
+    fn = _cross(e1, e2)
     geo = _FaceGeometry(
         corners=(p0, p1, p2),
         edges=(e0, e1, e2),
-        lengths=tuple(np.linalg.norm(e, axis=1) for e in (e0, e1, e2)),
+        lengths=(_norms(e0), _norms(e1), _norms(e2)),
         dots=(
             np.einsum("ij,ij->i", -e1, e2),
             np.einsum("ij,ij->i", -e2, e0),
             np.einsum("ij,ij->i", -e0, e1),
         ),
         normals=fn,
-        dbl_areas=np.linalg.norm(fn, axis=1),
+        dbl_areas=_norms(fn),
     )
     mesh._cache["faces"] = geo
     return geo
@@ -279,7 +293,7 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     acc = np.stack(
         [np.bincount(corners, np.tile(x, 3), n) for x in _faces(mesh).normals.T], axis=1
     )
-    nrm = acc / np.linalg.norm(acc, axis=1, keepdims=True)
+    nrm = acc / _norms(acc)[:, None]
     mesh._cache["normals"] = nrm
     return nrm
 
@@ -352,7 +366,7 @@ def area(mesh: TriangleMesh) -> float:
 def signed_volume(mesh: TriangleMesh) -> float:
     """Enclosed volume, positive for outward-oriented meshes."""
     p0, p1, p2 = _faces(mesh).corners
-    return float(np.einsum("ij,ij->i", p0, np.cross(p1, p2)).sum() / 6.0)
+    return float(np.einsum("ij,ij->i", p0, _cross(p1, p2)).sum() / 6.0)
 
 
 def min_edge_length(mesh: TriangleMesh) -> float:

@@ -18,12 +18,15 @@ quadrature of a product of two bandlimited fields is exact whenever
 nlat is at least bandlimit + 1.  Longitudes are equispaced and the
 longitudinal transform is an FFT.
 
-Synthesis sums each order m against a Legendre table to get the row-wise
-rfft spectrum, then inverts the FFT.  A phi-derivative multiplies mode m
-by i m, so u_phi, u_theta-phi and u_phi-phi reuse the spectra of u and
-u_theta instead of needing sums of their own.  One Legendre recurrence,
-run one order at a time, builds the grid tables and serves evaluation at
-scattered points.
+Synthesis sums the coefficients against Legendre tables to get the
+row-wise rfft spectrum, then inverts the FFT.  The Gauss-Legendre nodes
+are symmetric about the equator, so the tables hold only the northern
+rows, split by the parity of l - m; all orders are summed in one batched
+product per parity, on real arithmetic (see _Transform).  A
+phi-derivative multiplies mode m by i m, so u_phi, u_theta-phi and
+u_phi-phi reuse the spectra of u and u_theta instead of needing sums of
+their own.  One Legendre recurrence, run one order at a time, builds the
+grid tables and serves evaluation at scattered points.
 """
 
 from __future__ import annotations
@@ -188,7 +191,19 @@ def _alf_tables(L: int, x: np.ndarray):
 
 
 class _Transform:
-    """Precomputed node/weight/Legendre tables for one GridSpec."""
+    """Precomputed node/weight/Legendre tables for one GridSpec.
+
+    The Gauss-Legendre nodes come in exact mirror pairs, x[nlat-1-i] ==
+    -x[i], and Q_l^m(-x) = (-1)^(l-m) Q_l^m(x), so the tables keep only the
+    h = ceil(nlat / 2) northern rows, the equator included when nlat is
+    odd.  Their columns are split by the parity of l - m and zero-padded
+    over the orders: ``_even[k, m, :, j]`` holds table k (Q, dQ, d2Q) at
+    degree l = m + 2j, ``_odd[k, m, :, j]`` at l = m + 1 + 2j.  A
+    Legendre sum is then one batched product over all orders per parity,
+    E for the even and O for the odd degrees; the northern rows are
+    E + O and their southern mirrors E - O, negated for the
+    theta-derivative dQ, which is odd under the reflection.
+    """
 
     def __init__(self, grid: GridSpec):
         L = grid.bandlimit
@@ -200,46 +215,92 @@ class _Transform:
         self.sin_t = np.sin(self.theta)
         self.phi = 2.0 * np.pi * np.arange(grid.nlon) / grid.nlon
         self.grid = grid
-        self.Q, self.dQ, self.d2Q = _alf_tables(L, self.x)
         self.area_weights = (2.0 * np.pi / grid.nlon) * self.w  # per-row dsigma weight
         self._m = np.arange(grid.nlon // 2 + 1)
+
+        h = (grid.nlat + 1) // 2
+        self._even = np.zeros((3, L + 1, h, L // 2 + 1))
+        self._odd = np.zeros((3, L + 1, h, (L + 1) // 2))
+        for k, table in enumerate(_alf_tables(L, self.x[:h])):
+            for m, t in enumerate(table):
+                self._even[k, m, :, : (L - m) // 2 + 1] = t[:, 0::2]
+                self._odd[k, m, :, : (L - m + 1) // 2] = t[:, 1::2]
+        # flat positions in coeffs of the (cos, sin) pair of each entry;
+        # padding and the m = 0 sine point at one zero slot past the end
+        zero = (L + 1) * (2 * L + 1)
+        m = np.arange(L + 1)[:, None, None]
+        sign = np.array([1, -1])
+        self._take = []
+        for parity, tables in enumerate((self._even, self._odd)):
+            l = m + parity + 2 * np.arange(tables.shape[3])[:, None]
+            take = l * (2 * L + 1) + L + sign * m
+            take[(l > L) | ((m == 0) & (sign < 0))] = zero
+            self._take.append(take)
+
+        def by_pair(fac, width):
+            """fac[m] * (1, -1) for each of width entries of order m; stored
+            full size, as a broadcast over the trailing pair runs slowly."""
+            return np.repeat(np.stack([fac, -fac], axis=1)[:, None, :], width, axis=1)
+
+        root2 = np.sqrt(2.0)
+        # synthesis turns (cos, sin) sums into (re, im) of the rfft spectrum
+        fac = np.full(L + 1, (grid.nlon / 2.0) * root2)
+        fac[0] = grid.nlon
+        self._north_scale = by_pair(fac, h)
+        # the south rows are E - O for Q and d2Q and O - E for dQ
+        self._south_scale = np.array([1.0, -1.0, 1.0])[:, None, None, None] * (
+            self._north_scale
+        )
+        # analysis turns (re, im) projections into (cos, sin) coefficients
+        fac = np.full(L + 1, root2 * (2.0 * np.pi / grid.nlon))
+        fac[0] = 2.0 * np.pi / grid.nlon
+        self._analysis_scale = [by_pair(fac, take.shape[1]) for take in self._take]
 
     # -- core transforms -------------------------------------------------
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         g = self.grid
         L = g.bandlimit
-        F = np.fft.rfft(values, axis=1)
-        c = np.zeros((L + 1, 2 * L + 1))
-        fac = 2.0 * np.pi / g.nlon
-        root2 = np.sqrt(2.0)
-        for m in range(L + 1):
-            proj = self.Q[m].T @ (self.w * F[:, m])
-            if m == 0:
-                c[:, L] = fac * proj.real
-            else:
-                c[m:, L + m] = root2 * fac * proj.real
-                c[m:, L - m] = root2 * fac * (-proj.imag)
-        return c
+        h = self._even.shape[2]
+        # weighted row spectra, one order per row
+        F = (np.fft.rfft(values, axis=1)[:, : L + 1] * self.w[:, None]).T
+        # fold each south row onto its northern mirror; an odd grid's
+        # equator row has no mirror and counts once
+        sym = F[:, :h].copy()
+        anti = sym.copy()
+        mirror = F[:, : h - 1 : -1]
+        sym[:, : g.nlat - h] += mirror
+        anti[:, : g.nlat - h] -= mirror
+        flat = np.zeros((L + 1) * (2 * L + 1) + 1)
+        for table, take, scale, rows in zip(
+            (self._even[0], self._odd[0]), self._take, self._analysis_scale, (sym, anti)
+        ):
+            proj = table.transpose(0, 2, 1) @ rows.view(float).reshape(L + 1, h, 2)
+            flat[take] = scale * proj
+        return flat[:-1].reshape(L + 1, 2 * L + 1)
 
-    def _spectrum(self, coeffs: np.ndarray, table) -> np.ndarray:
-        """Row-wise rfft of the synthesis of coeffs against one Legendre table."""
+    def _spectra(self, coeffs: np.ndarray, tables: int) -> np.ndarray:
+        """Row-wise rfft spectra of coeffs against the first `tables` of Q, dQ, d2Q."""
         g = self.grid
         L = g.bandlimit
-        S = np.zeros((g.nlat, g.nlon // 2 + 1), dtype=complex)
-        root2 = np.sqrt(2.0)
-        S[:, 0] = g.nlon * (table[0] @ coeffs[:, L])
-        for m in range(1, L + 1):
-            S[:, m] = (g.nlon / 2.0) * root2 * (
-                table[m] @ (coeffs[m:, L + m] - 1j * coeffs[m:, L - m])
-            )
+        h = self._even.shape[2]
+        flat = np.append(coeffs, 0.0)
+        E = self._even[:tables] @ flat[self._take[0]]
+        O = self._odd[:tables] @ flat[self._take[1]]
+        # (cos, sin) sums to complex spectrum entries, one order per row
+        north = ((E + O) * self._north_scale).view(complex)[..., 0]
+        south = ((E - O) * self._south_scale[:tables]).view(complex)[..., 0]
+        S = np.zeros((tables, g.nlat, g.nlon // 2 + 1), dtype=complex)
+        S[:, :h, : L + 1] = north.transpose(0, 2, 1)
+        S[:, h:, : L + 1] = south[:, :, g.nlat - h - 1 :: -1].transpose(0, 2, 1)
         return S
 
-    def _values(self, spectrum: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(spectrum, n=self.grid.nlon, axis=1)
+    def _values(self, spectra: np.ndarray) -> np.ndarray:
+        """Grid values of row-wise rfft spectra, several fields in one call."""
+        return np.fft.irfft(spectra, n=self.grid.nlon, axis=-1)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._values(self._spectrum(coeffs, self.Q))
+        return self._values(self._spectra(coeffs, 1)[0])
 
     def laplacian_coeffs(self, coeffs: np.ndarray, power: int = 1) -> np.ndarray:
         L = self.grid.bandlimit
@@ -254,8 +315,8 @@ class _Transform:
 
     def gradient_values(self, coeffs: np.ndarray):
         """(d/dtheta u, d/dphi u) on the grid."""
-        u_t = self._values(self._spectrum(coeffs, self.dQ))
-        u_p = self._values(1j * self._m * self._spectrum(coeffs, self.Q))
+        S, S_t = self._spectra(coeffs, 2)
+        u_t, u_p = self._values(np.stack([S_t, 1j * self._m * S]))
         return u_t, u_p
 
     def derivative_values(self, coeffs: np.ndarray):
@@ -264,15 +325,15 @@ class _Transform:
         Returns (d/dtheta u, d/dphi u, theta-theta, theta-phi, phi-phi)
         from three Legendre sums: d/dphi multiplies longitude mode m by i m.
         """
-        S, S_t, S_tt = (self._spectrum(coeffs, t) for t in (self.Q, self.dQ, self.d2Q))
+        S, S_t, S_tt = self._spectra(coeffs, 3)
         im = 1j * self._m
-        u_t = self._values(S_t)
-        u_p = self._values(im * S)
+        u_t, u_p, h_tt, h_tp, h_pp = self._values(
+            np.stack([S_t, im * S, S_tt, im * S_t, -(self._m**2) * S])
+        )
         s = self.sin_t[:, None]
         x = self.x[:, None]
-        h_tt = self._values(S_tt)
-        h_tp = self._values(im * S_t) - (x / s) * u_p
-        h_pp = self._values(-(self._m**2) * S) + s * x * u_t
+        h_tp -= (x / s) * u_p
+        h_pp += s * x * u_t
         return u_t, u_p, h_tt, h_tp, h_pp
 
     def quadrature(self, values: np.ndarray) -> float:

@@ -2,6 +2,8 @@
 
 Everything here is computed from closed forms or from scipy, never from
 the package under test, so agreement is evidence rather than tautology.
+The per-order transform loops take their Legendre tables from the
+caller and check only how the sums over degrees and orders are taken.
 """
 
 import numpy as np
@@ -46,3 +48,56 @@ def spherical_cap_area(chord_radius):
     of opening angle 2 arcsin(r / 2).
     """
     return 2.0 * np.pi * (1.0 - np.cos(2.0 * np.arcsin(chord_radius / 2.0)))
+
+
+def legendre_spectrum_by_order(table, coeffs, nlon):
+    """Row-wise rfft spectrum of real-basis coefficients, one order at a time.
+
+    table[m] has shape (nlat, L - m + 1) with columns l = m .. L and
+    holds Q_l^m or one of its theta-derivatives at every grid row.
+    """
+    L = len(table) - 1
+    S = np.zeros((table[0].shape[0], nlon // 2 + 1), dtype=complex)
+    S[:, 0] = nlon * (table[0] @ coeffs[:, L])
+    for m in range(1, L + 1):
+        pair = coeffs[m:, L + m] - 1j * coeffs[m:, L - m]
+        S[:, m] = (nlon / 2.0) * np.sqrt(2.0) * (table[m] @ pair)
+    return S
+
+
+def analyze_by_order(Q, weights, values):
+    """Gauss-Legendre projection of grid values, one order at a time."""
+    L = len(Q) - 1
+    nlon = values.shape[1]
+    F = np.fft.rfft(values, axis=1)
+    c = np.zeros((L + 1, 2 * L + 1))
+    fac = 2.0 * np.pi / nlon
+    for m in range(L + 1):
+        proj = Q[m].T @ (weights * F[:, m])
+        if m == 0:
+            c[:, L] = fac * proj.real
+        else:
+            c[m:, L + m] = np.sqrt(2.0) * fac * proj.real
+            c[m:, L - m] = -np.sqrt(2.0) * fac * proj.imag
+    return c
+
+
+def derivative_values_by_order(tables, x, coeffs, nlon):
+    """(u_theta, u_phi, h_theta-theta, h_theta-phi, h_phi-phi) on the grid.
+
+    tables are the per-order (Q, dQ, d2Q) at the nodes x = cos theta; the
+    Hessian carries the round-sphere Christoffel terms.
+    """
+    S, S_t, S_tt = (legendre_spectrum_by_order(t, coeffs, nlon) for t in tables)
+    im = 1j * np.arange(nlon // 2 + 1)
+    s = np.sqrt(1.0 - x * x)[:, None]
+    x = x[:, None]
+
+    def values(spectrum):
+        return np.fft.irfft(spectrum, n=nlon, axis=1)
+
+    u_t = values(S_t)
+    u_p = values(im * S)
+    h_tp = values(im * S_t) - (x / s) * u_p
+    h_pp = values(im * im * S) + s * x * u_t
+    return u_t, u_p, values(S_tt), h_tp, h_pp

@@ -219,6 +219,29 @@ def test_cached_operators_equal_a_standalone_reference(n, jitter):
     assert_operators_equal_the_reference(m)
 
 
+@pytest.mark.parametrize("jitter", [False, True], ids=["round", "jittered"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_face_geometry_equals_the_norm_and_cross_reference(n, jitter):
+    m = shapes.icosphere(n)
+    if jitter:
+        rng = np.random.default_rng(100 + n)
+        h = reference_min_edge_length(m)
+        noise = 0.1 * h * rng.normal(size=m.vertices.shape)
+        m = TriangleMesh(m.vertices + noise, m.faces)
+    v, f = m.vertices, m.faces
+    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    fn = np.cross(p1 - p0, p2 - p0)
+    geo = mesh._faces(m)
+    for got, (a, b) in zip(geo.lengths, ((p1, p2), (p2, p0), (p0, p1))):
+        assert np.array_equal(got, np.linalg.norm(b - a, axis=1))
+    assert np.array_equal(geo.normals, fn)
+    assert np.array_equal(geo.dbl_areas, np.linalg.norm(fn, axis=1))
+    volume = float(np.einsum("ij,ij->i", p0, np.cross(p1, p2)).sum() / 6.0)
+    assert mesh.signed_volume(m) == volume
+    assert np.array_equal(mesh.vertex_normals(m), reference_normals(m))
+    assert mesh.min_edge_length(m) == reference_min_edge_length(m)
+
+
 def test_a_mesh_on_other_faces_builds_its_own_topology():
     m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1)])
     mesh.build_operators(m)
