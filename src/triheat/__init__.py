@@ -42,7 +42,7 @@ from .radial import (
     rho_velocity,
 )
 from .shapes import icosphere, sample_graph_mesh
-from .spherical import GridSpec, SphericalField, analyze, quadrature, synthesize
+from .spherical import GridSpec
 
 __version__ = "0.1.0"
 
@@ -83,9 +83,5 @@ __all__ = [
     "icosphere",
     "sample_graph_mesh",
     "GridSpec",
-    "SphericalField",
-    "analyze",
-    "quadrature",
-    "synthesize",
     "__version__",
 ]

@@ -77,8 +77,8 @@ def _load_state(path):
         m.validate()
         return m
     if path.endswith(".csv"):
-        field = spherical.read_coeffs_csv(path)
-        return RadialGraphState(field.grid, coeffs=field.coeffs)
+        grid, coeffs = spherical.read_coeffs_csv(path)
+        return RadialGraphState(grid, coeffs=coeffs)
     raise ValueError(f"state file must end in .csv or .obj, got {path!r}")
 
 

@@ -4,7 +4,9 @@ A config file holds one ``key = value`` pair per line; ``#`` starts a
 comment and blank lines are skipped. Keys under the ``run.`` namespace
 are reserved for result metadata and ignored on parse, so a run's
 ``run.meta`` file parses back to exactly the configuration that
-produced it.
+produced it. String values that could not be written back that way,
+those holding ``#`` or a line break or with surrounding whitespace, are
+rejected by :func:`validate_config`.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def validate_config(cfg: FlowConfig) -> None:
         raise ValueError("safety must be positive")
     if not cfg.concentration_radius > 0.0:
         raise ValueError("concentration.radius must be positive")
+    for attr, key in _FIELD_TO_KEY.items():
+        val = getattr(cfg, attr)
+        # format_config writes one line per key, and parsing cuts comments
+        # and strips the value, so such a value would not read back
+        if isinstance(val, str) and (
+            "#" in val or val != val.strip() or len(val.splitlines()) > 1
+        ):
+            raise ValueError(
+                f"config key {key!r} cannot hold {val!r}: '#', line breaks and "
+                "leading or trailing whitespace do not survive run.meta"
+            )
 
 
 def format_config(cfg: FlowConfig) -> str:

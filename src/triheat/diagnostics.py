@@ -20,7 +20,6 @@ from . import mesh as mesh_mod
 from . import radial, spherical
 from .mesh import TriangleMesh
 from .radial import RadialGraphState
-from .spherical import SphericalField
 
 __all__ = [
     "DiagnosticsRecord",
@@ -158,7 +157,8 @@ def _graph_curvatures(state: RadialGraphState):
 
 
 def _graph_dirichlet(state: RadialGraphState, u) -> float:
-    grad_sq = radial.gradient_norm_sq(state, SphericalField(state.grid, values=u))
+    cu = spherical.transform_for(state.grid).analyze(u)
+    grad_sq = radial.gradient_norm_sq(state, cu)
     return radial.integrate(state, grad_sq)
 
 
@@ -191,7 +191,7 @@ def _backend(state) -> _Backend:
             alpha=radial.concentration,
             scale=RadialGraphState.mean_radius,
             rescaled=_graph_rescaled,
-            save=lambda s, path: spherical.write_coeffs_csv(s.radius_field(), path),
+            save=lambda s, path: spherical.write_coeffs_csv(s.coeffs, path),
             suffix=".csv",
         )
     if isinstance(state, TriangleMesh):

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spherical
-from .spherical import GridSpec, SphericalField, transform_for
+from .spherical import GridSpec, _check_coeffs, transform_for
 
 __all__ = [
     "ChartError",
@@ -84,29 +83,29 @@ class RadialGraphState:
     __slots__ = ("grid", "coeffs", "values", "time", "_geo")
 
     def __init__(self, grid: GridSpec, coeffs=None, values=None, time: float = 0.0):
-        field = SphericalField(grid, values=values, coeffs=coeffs)
-        if not field.has_coeffs:
-            field = spherical.analyze(field)
-        field = spherical.synthesize(field)
-        if not np.all(np.isfinite(field.values)):
+        if values is None and coeffs is None:
+            raise ValueError("field needs grid values or coefficients")
+        tr = transform_for(grid)
+        if coeffs is None:
+            coeffs = tr.analyze(np.asarray(values, dtype=float))
+        coeffs = np.asarray(coeffs, dtype=float)
+        values = tr.synthesize(coeffs)
+        if not np.all(np.isfinite(values)):
             raise ChartError(
                 "radius field contains non-finite values; the surface has "
                 "left the star-shaped chart"
             )
-        rmin = float(field.values.min())
+        rmin = float(values.min())
         if rmin <= 0.0:
             raise ChartError(
                 f"radius reaches {rmin:.6g}; the surface has left the "
                 "star-shaped chart"
             )
         self.grid = grid
-        self.coeffs = field.coeffs
-        self.values = field.values
+        self.coeffs = coeffs
+        self.values = values
         self.time = float(time)
         self._geo = None
-
-    def radius_field(self) -> SphericalField:
-        return SphericalField(self.grid, values=self.values, coeffs=self.coeffs)
 
     def mean_radius(self) -> float:
         """Degree-zero radius, (4 pi)^{-1/2} c_00."""
@@ -318,17 +317,16 @@ def _lap_from_coeffs(state: RadialGraphState, coeffs: np.ndarray) -> np.ndarray:
     return num / geo["J"]
 
 
-def induced_laplacian(state: RadialGraphState, field: SphericalField) -> SphericalField:
+def induced_laplacian(state: RadialGraphState, coeffs) -> np.ndarray:
     """Laplace-Beltrami operator of the surface metric applied to a scalar.
 
-    Uses the divergence form, so the result integrates to zero against
-    the area measure up to quadrature exactness, and constants map to
-    exact zero at every bandlimit.
+    Takes the scalar's coefficients and returns grid values. Uses the
+    divergence form, so the result integrates to zero against the area
+    measure up to quadrature exactness, and constants map to exact zero
+    at every bandlimit.
     """
-    if not field.has_coeffs:
-        field = spherical.analyze(field)
-    vals = _lap_from_coeffs(state, field.coeffs)
-    return SphericalField(state.grid, values=vals)
+    _check_coeffs(coeffs, state.grid.bandlimit)
+    return _lap_from_coeffs(state, coeffs)
 
 
 def laplacian_chain(state: RadialGraphState):
@@ -379,14 +377,13 @@ def rho_velocity(state: RadialGraphState) -> np.ndarray:
     return -(geo["sqPhi"] / geo["rho"]) * flow_speed(state)
 
 
-def gradient_norm_sq(state: RadialGraphState, field: SphericalField) -> np.ndarray:
+def gradient_norm_sq(state: RadialGraphState, coeffs) -> np.ndarray:
     """Pointwise |grad u|^2 in the induced metric, g^{ij} d_i u d_j u."""
-    if not field.has_coeffs:
-        field = spherical.analyze(field)
+    L = state.grid.bandlimit
+    _check_coeffs(coeffs, L)
     geo = _geometry(state)
     tr = transform_for(state.grid)
-    L = state.grid.bandlimit
-    cu = np.array(field.coeffs, dtype=float)
+    cu = np.array(coeffs, dtype=float)
     cu[0, L] = 0.0
     u_t, u_p = tr.gradient_values(cu)
     return (

@@ -13,7 +13,7 @@ import numpy as np
 from . import spherical
 from .mesh import TriangleMesh, load_obj
 from .radial import RadialGraphState
-from .spherical import GridSpec, SphericalField
+from .spherical import GridSpec
 
 __all__ = [
     "icosahedron",
@@ -191,7 +191,7 @@ def _radial_scale(base: TriangleMesh, state: RadialGraphState) -> TriangleMesh:
     v = base.vertices
     theta = np.arccos(np.clip(v[:, 2] / np.linalg.norm(v, axis=1), -1.0, 1.0))
     phi = np.mod(np.arctan2(v[:, 1], v[:, 0]), 2.0 * np.pi)
-    rho = spherical.evaluate(state.radius_field(), theta, phi)
+    rho = spherical.evaluate(state.coeffs, theta, phi)
     if rho.min() <= 0.0:
         raise ValueError("radius field is not positive at mesh directions")
     return TriangleMesh(rho[:, None] * v, base.faces, time=state.time)

@@ -1,7 +1,7 @@
 """Real spherical harmonics on Gauss-Legendre / equiangular grids.
 
-Scalar fields on the unit sphere are carried either as grid values
-(colatitude rows, longitude columns) or as coefficients in the real
+Scalar fields on the unit sphere are plain arrays: grid values
+(colatitude rows, longitude columns) or coefficients in the real
 orthonormal basis
 
     Y_{l,0}               = Q_l^0(cos th)
@@ -27,6 +27,10 @@ phi-derivative multiplies mode m by i m, so u_phi, u_theta-phi and
 u_phi-phi reuse the spectra of u and u_theta instead of needing sums of
 their own.  One Legendre recurrence, run one order at a time, builds the
 grid tables and serves evaluation at scattered points.
+
+One transform per grid, from :func:`transform_for`, takes arrays in and
+gives arrays out; it rejects values that are not (nlat, nlon) and
+coefficients that are not (L + 1, 2L + 1).
 """
 
 from __future__ import annotations
@@ -38,14 +42,7 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
-    "SphericalField",
-    "analyze",
-    "synthesize",
-    "laplacian_power",
-    "surface_gradient_sq",
-    "surface_hessian",
-    "quadrature",
-    "coefficient",
+    "transform_for",
     "evaluate",
     "write_coeffs_csv",
     "read_coeffs_csv",
@@ -94,53 +91,20 @@ class GridSpec:
         return cls(bandlimit, nlat, 2 * nlat)
 
 
-class SphericalField:
-    """A scalar field on the sphere with grid values, coefficients, or both.
+def _check_values(values, grid: GridSpec) -> None:
+    if np.shape(values) != (grid.nlat, grid.nlon):
+        raise ValueError(
+            f"values shape {np.shape(values)} does not match grid "
+            f"({grid.nlat}, {grid.nlon})"
+        )
 
-    Either representation may be supplied; the missing one is produced on
-    demand by :func:`analyze` / :func:`synthesize`. Arrays are treated as
-    immutable once handed over.
-    """
 
-    __slots__ = ("grid", "values", "coeffs")
-
-    def __init__(self, grid: GridSpec, values=None, coeffs=None):
-        if values is None and coeffs is None:
-            raise ValueError("field needs grid values or coefficients")
-        if values is not None:
-            values = np.asarray(values, dtype=float)
-            if values.shape != (grid.nlat, grid.nlon):
-                raise ValueError(
-                    f"values shape {values.shape} does not match grid "
-                    f"({grid.nlat}, {grid.nlon})"
-                )
-        if coeffs is not None:
-            coeffs = np.asarray(coeffs, dtype=float)
-            L = grid.bandlimit
-            if coeffs.shape != (L + 1, 2 * L + 1):
-                raise ValueError(
-                    f"coeffs shape {coeffs.shape} does not match bandlimit {L}; "
-                    f"expected ({L + 1}, {2 * L + 1})"
-                )
-        self.grid = grid
-        self.values = values
-        self.coeffs = coeffs
-
-    @property
-    def has_values(self) -> bool:
-        return self.values is not None
-
-    @property
-    def has_coeffs(self) -> bool:
-        return self.coeffs is not None
-
-    def __repr__(self):
-        tags = []
-        if self.has_values:
-            tags.append("values")
-        if self.has_coeffs:
-            tags.append("coeffs")
-        return f"SphericalField(L={self.grid.bandlimit}, {'+'.join(tags)})"
+def _check_coeffs(coeffs, L: int) -> None:
+    if np.shape(coeffs) != (L + 1, 2 * L + 1):
+        raise ValueError(
+            f"coeffs shape {np.shape(coeffs)} does not match bandlimit {L}; "
+            f"expected ({L + 1}, {2 * L + 1})"
+        )
 
 
 def _legendre_orders(L: int, x: np.ndarray, s: np.ndarray):
@@ -259,7 +223,10 @@ class _Transform:
     # -- core transforms -------------------------------------------------
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Project grid values onto the real harmonic basis; content above
+        the bandlimit is discarded."""
         g = self.grid
+        _check_values(values, g)
         L = g.bandlimit
         h = self._even.shape[2]
         # weighted row spectra, one order per row
@@ -283,6 +250,7 @@ class _Transform:
         """Row-wise rfft spectra of coeffs against the first `tables` of Q, dQ, d2Q."""
         g = self.grid
         L = g.bandlimit
+        _check_coeffs(coeffs, L)
         h = self._even.shape[2]
         flat = np.append(coeffs, 0.0)
         E = self._even[:tables] @ flat[self._take[0]]
@@ -303,7 +271,12 @@ class _Transform:
         return self._values(self._spectra(coeffs, 1)[0])
 
     def laplacian_coeffs(self, coeffs: np.ndarray, power: int = 1) -> np.ndarray:
+        """The round-sphere Laplacian applied power times: each degree-l
+        coefficient is scaled by (-l(l+1))^power."""
         L = self.grid.bandlimit
+        _check_coeffs(coeffs, L)
+        if power < 1:
+            raise ValueError("power must be a positive integer")
         ls = np.arange(L + 1, dtype=float)
         eig = -ls * (ls + 1.0)
         # repeated multiplication keeps composed applications bitwise
@@ -337,6 +310,8 @@ class _Transform:
         return u_t, u_p, h_tt, h_tp, h_pp
 
     def quadrature(self, values: np.ndarray) -> float:
+        """Integral of grid values over the unit sphere (dsigma measure)."""
+        _check_values(values, self.grid)
         return float(self.area_weights @ values.sum(axis=1))
 
 
@@ -346,99 +321,16 @@ def transform_for(grid: GridSpec) -> _Transform:
     return _Transform(grid)
 
 
-# -- public field operations ----------------------------------------------
-
-
-def analyze(field: SphericalField) -> SphericalField:
-    """Project grid values onto the real harmonic basis.
-
-    Returns a new field carrying both representations; content above the
-    bandlimit is discarded by the projection.
-    """
-    if not field.has_values:
-        raise ValueError("analyze needs grid values")
-    c = transform_for(field.grid).analyze(field.values)
-    return SphericalField(field.grid, values=field.values, coeffs=c)
-
-
-def synthesize(field: SphericalField) -> SphericalField:
-    """Evaluate coefficients on the grid; returns a field with both representations."""
-    if not field.has_coeffs:
-        raise ValueError("synthesize needs coefficients")
-    v = transform_for(field.grid).synthesize(field.coeffs)
-    return SphericalField(field.grid, values=v, coeffs=field.coeffs)
-
-
-def laplacian_power(field: SphericalField, power: int = 1) -> SphericalField:
-    """Apply the round-sphere Laplacian spectrally, power times.
-
-    Each degree-l coefficient is scaled by (-l(l+1))^power.
-    """
-    if power < 1:
-        raise ValueError("power must be a positive integer")
-    if not field.has_coeffs:
-        field = analyze(field)
-    c = transform_for(field.grid).laplacian_coeffs(field.coeffs, power)
-    return synthesize(SphericalField(field.grid, coeffs=c))
-
-
-def surface_gradient_sq(field: SphericalField) -> SphericalField:
-    """Pointwise |grad u|^2 with respect to the round metric."""
-    if not field.has_coeffs:
-        field = analyze(field)
-    tr = transform_for(field.grid)
-    u_t, u_p = tr.gradient_values(field.coeffs)
-    vals = u_t**2 + (u_p / tr.sin_t[:, None]) ** 2
-    return SphericalField(field.grid, values=vals)
-
-
-def surface_hessian(field: SphericalField):
-    """Covariant Hessian components (theta-theta, theta-phi, phi-phi).
-
-    The mixed and phi-phi components include the round-sphere
-    Christoffel corrections (Gamma^phi_{theta phi} = cot theta,
-    Gamma^theta_{phi phi} = -sin theta cos theta).
-    """
-    if not field.has_coeffs:
-        field = analyze(field)
-    tr = transform_for(field.grid)
-    h_tt, h_tp, h_pp = tr.derivative_values(field.coeffs)[2:]
-    g = field.grid
-    return (
-        SphericalField(g, values=h_tt),
-        SphericalField(g, values=h_tp),
-        SphericalField(g, values=h_pp),
-    )
-
-
-def quadrature(field: SphericalField) -> float:
-    """Integral of the field over the unit sphere (dsigma measure)."""
-    if not field.has_values:
-        field = synthesize(field)
-    return transform_for(field.grid).quadrature(field.values)
-
-
-def coefficient(field: SphericalField, l: int, m: int) -> float:
-    """Single coefficient accessor; m > 0 are cosine terms, m < 0 sine terms."""
-    if not field.has_coeffs:
-        field = analyze(field)
-    L = field.grid.bandlimit
-    if not (0 <= l <= L and -l <= m <= l):
-        raise ValueError(f"(l={l}, m={m}) outside bandlimit {L}")
-    return float(field.coeffs[l, L + m])
-
-
-def evaluate(field: SphericalField, theta, phi) -> np.ndarray:
-    """Evaluate a coefficient field at scattered (theta, phi) points.
+def evaluate(coeffs, theta, phi) -> np.ndarray:
+    """Evaluate coefficients of shape (L + 1, 2L + 1) at scattered (theta, phi).
 
     Runs the Legendre recurrences at the requested colatitudes, so points
     need not lie on any grid. Memory stays O(npoints * bandlimit) by
     accumulating one order m at a time.
     """
-    if not field.has_coeffs:
-        field = analyze(field)
-    L = field.grid.bandlimit
-    c = field.coeffs
+    c = np.asarray(coeffs, dtype=float)
+    L = len(c) - 1
+    _check_coeffs(c, L)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     out = np.zeros_like(theta)
@@ -459,20 +351,19 @@ def evaluate(field: SphericalField, theta, phi) -> np.ndarray:
 # -- CSV interchange --------------------------------------------------------
 
 
-def write_coeffs_csv(field: SphericalField, path) -> None:
+def write_coeffs_csv(coeffs, path) -> None:
     """Dump coefficients as CSV rows l,m,value (all l <= bandlimit, |m| <= l)."""
-    if not field.has_coeffs:
-        field = analyze(field)
-    L = field.grid.bandlimit
+    L = len(coeffs) - 1
+    _check_coeffs(coeffs, L)
     with open(path, "w") as fh:
         fh.write("l,m,value\n")
         for l in range(L + 1):
             for m in range(-l, l + 1):
-                fh.write(f"{l},{m},{FLOAT_FMT % field.coeffs[l, L + m]}\n")
+                fh.write(f"{l},{m},{FLOAT_FMT % coeffs[l, L + m]}\n")
 
 
-def read_coeffs_csv(path, grid: GridSpec | None = None) -> SphericalField:
-    """Read an l,m,value CSV into a field.
+def read_coeffs_csv(path, grid: GridSpec | None = None):
+    """Read an l,m,value CSV; returns (grid, coeffs).
 
     When grid is omitted, the smallest valid bandlimit covering the rows
     (at least 4) is used with default oversampling. A repeated (l, m)
@@ -508,19 +399,18 @@ def read_coeffs_csv(path, grid: GridSpec | None = None) -> SphericalField:
         if abs(m) > l:
             raise ValueError(f"invalid row l={l}, m={m}")
         c[l, L + m] = v
-    return SphericalField(grid, coeffs=c)
+    return grid, c
 
 
-def write_grid_csv(field: SphericalField, path) -> None:
+def write_grid_csv(grid: GridSpec, values, path) -> None:
     """Dump grid values as CSV rows theta,phi,value."""
-    if not field.has_values:
-        field = synthesize(field)
-    tr = transform_for(field.grid)
+    _check_values(values, grid)
+    tr = transform_for(grid)
     with open(path, "w") as fh:
         fh.write("theta,phi,value\n")
         for i, th in enumerate(tr.theta):
             for j, ph in enumerate(tr.phi):
                 fh.write(
                     f"{FLOAT_FMT % th},{FLOAT_FMT % ph},"
-                    f"{FLOAT_FMT % field.values[i, j]}\n"
+                    f"{FLOAT_FMT % values[i, j]}\n"
                 )

@@ -4,15 +4,18 @@ CLI tests call main() in process and check exit codes, artifacts and
 printed tables.
 """
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from triheat import config as cfgmod
 from triheat import diagnostics, mesh, shapes, spherical
 from triheat.cli import main
-from triheat.spherical import coefficient, transform_for
+from triheat.spherical import transform_for
 
 SQRT4PI = np.sqrt(4.0 * np.pi)
 
@@ -59,8 +62,9 @@ def test_perturbed_coefficient_echo():
     st = shapes.generate(
         "perturbed", "spectral", bandlimit=16, radius=1.0, perturb="2,0,0.001"
     )
-    assert coefficient(st.radius_field(), 2, 0) == 1e-3
-    assert abs(coefficient(st.radius_field(), 0, 0) - SQRT4PI) <= 1e-15
+    L = st.grid.bandlimit
+    assert st.coeffs[2, L] == 1e-3
+    assert abs(st.coeffs[0, L] - SQRT4PI) <= 1e-15
 
 
 def test_ellipsoid_graph_solves_the_quadric():
@@ -150,6 +154,75 @@ def test_config_rejects_nan(text, key):
         cfgmod.parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["runs/#3", "runs\nbackend = mesh", "runs\rx", "runs\u2028x", " runs", "runs "],
+    ids=["hash", "newline", "return", "line-separator", "leading-space", "trailing-space"],
+)
+def test_config_rejects_values_the_echo_cannot_hold(value):
+    cfg = cfgmod.FlowConfig(out_dir=value)
+    with pytest.raises(ValueError, match="out.dir"):
+        cfgmod.validate_config(cfg)
+    with pytest.raises(ValueError, match="out.dir"):
+        cfgmod.format_config(cfg)
+
+
+_SPECIAL_FLOATS = hst.sampled_from([1.0 / 3.0, 5e-324, 1e-310, 1e300])
+_REAL = hst.one_of(_SPECIAL_FLOATS, hst.floats(allow_nan=False))
+_POSITIVE = hst.one_of(_SPECIAL_FLOATS, hst.floats(min_value=0.0, exclude_min=True))
+_TEXT = hst.text(max_size=12).filter(
+    lambda t: "#" not in t and t == t.strip() and len(t.splitlines()) <= 1
+)
+_TEXT_KEYS = {
+    "mesh": "mesh",
+    "shape_kind": "shape.kind",
+    "shape_perturb": "shape.perturb",
+    "shape_semiaxes": "shape.semiaxes",
+    "out_dir": "out.dir",
+}
+
+
+@hst.composite
+def flow_configs(draw):
+    policy = draw(hst.sampled_from(["auto", "fixed"]))
+    return cfgmod.FlowConfig(
+        backend=draw(hst.sampled_from(["spectral", "mesh"])),
+        bandlimit=draw(hst.integers()),
+        mesh=draw(_TEXT),
+        shape_kind=draw(_TEXT),
+        shape_radius=draw(_REAL),
+        shape_perturb=draw(_TEXT),
+        shape_semiaxes=draw(_TEXT),
+        shape_subdivisions=draw(hst.integers()),
+        dt_policy=policy,
+        dt_value=draw(_POSITIVE if policy == "fixed" else _REAL),
+        safety=draw(_POSITIVE),
+        t_end=draw(_POSITIVE),
+        cadence=draw(hst.integers(min_value=1)),
+        stop_ao_inf=draw(_REAL),
+        concentration_radius=draw(_POSITIVE),
+        epsilon0=draw(_REAL),
+        out_dir=draw(_TEXT),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    flow_configs(),
+    hst.sampled_from(sorted(_TEXT_KEYS)),
+    # str.splitlines, which the parser uses, also breaks at \v and \u2028
+    hst.sampled_from(["#", "\n", "\r", "\r\n", "\v", "\u2028"]),
+    hst.data(),
+)
+def test_config_echo_round_trips(cfg, attr, bad, data):
+    assert cfgmod.parse_config_text(cfgmod.format_config(cfg)) == cfg
+    text = getattr(cfg, attr)
+    at = data.draw(hst.integers(0, len(text)))
+    broken = dataclasses.replace(cfg, **{attr: text[:at] + bad + text[at:]})
+    with pytest.raises(ValueError, match=_TEXT_KEYS[attr]):
+        cfgmod.format_config(broken)
+
+
 # ---------------------------------------------------------------------------
 # spectrum subcommand
 # ---------------------------------------------------------------------------
@@ -236,6 +309,14 @@ def test_simulate_meta_reparses_to_the_same_config(tmp_path):
     assert all(b <= a for a, b in zip(areas, areas[1:]))
 
 
+@pytest.mark.parametrize("value", ["runs/#3", "runs\nbackend = mesh"], ids=["hash", "newline"])
+def test_simulate_rejects_an_out_dir_run_meta_cannot_echo(tmp_path, capsys, value):
+    rc = main(["simulate", "--set", f"out.dir={tmp_path}/{value}", "--set", "t_end=0.1"])
+    assert rc == 1
+    assert "out.dir" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_simulate_singular_run_exits_2_with_artifacts(tmp_path):
     out = str(tmp_path / "boom")
     rc = main(
@@ -311,7 +392,7 @@ def test_simulate_rejects_an_inward_mesh(tmp_path, capsys):
 def test_diagnose_ellipsoid_gauss_bonnet(tmp_path, capsys):
     st = shapes.generate("ellipsoid", "spectral", bandlimit=16, semiaxes=(1.0, 1.0, 1.2))
     path = str(tmp_path / "ell.csv")
-    spherical.write_coeffs_csv(st.radius_field(), path)
+    spherical.write_coeffs_csv(st.coeffs, path)
     assert main(["diagnose", "--state", path]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
     cols = dict(zip(header.split(","), row.split(",")))
@@ -337,10 +418,10 @@ def test_rescale_state_file(tmp_path):
     st = shapes.generate("perturbed", "spectral", perturb="2,0,0.01")
     src = str(tmp_path / "state.csv")
     dst = str(tmp_path / "half.csv")
-    spherical.write_coeffs_csv(st.radius_field(), src)
+    spherical.write_coeffs_csv(st.coeffs, src)
     assert main(["rescale", "--state", src, "--factor", "2", "--out", dst]) == 0
-    back = spherical.read_coeffs_csv(dst)
-    assert np.array_equal(back.coeffs * 2.0, st.coeffs)
+    _, back = spherical.read_coeffs_csv(dst)
+    assert np.array_equal(back * 2.0, st.coeffs)
 
 
 def test_rescale_mesh_about_center(tmp_path):
@@ -357,7 +438,7 @@ def test_rescale_mesh_about_center(tmp_path):
 def test_rescale_usage_failures(tmp_path, capsys):
     st = shapes.generate("sphere", "spectral")
     src = str(tmp_path / "s.csv")
-    spherical.write_coeffs_csv(st.radius_field(), src)
+    spherical.write_coeffs_csv(st.coeffs, src)
     assert main(["rescale", "--state", src, "--factor", "2",
                  "--center", "0.1,0,0", "--out", str(tmp_path / "o.csv")]) == 1
     assert "origin" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from oracles import ellipsoid_curvatures, spherical_cap_area
 from triheat import diagnostics, flow, mesh, radial, shapes
 from triheat.radial import RadialGraphState
-from triheat.spherical import GridSpec, SphericalField, synthesize, transform_for
+from triheat.spherical import GridSpec, transform_for
 
 GRID = GridSpec.for_bandlimit(16)
 AXES = (1.0, 1.0, 1.2)
@@ -408,7 +408,7 @@ def test_spectral_concentration_equals_the_tree_ball_sum(drawn):
     # a random bump of degrees 1 to 3, scaled to the drawn amplitude
     c[1:4] = rng.normal(size=(3, 2 * L + 1))
     c[np.abs(np.arange(-L, L + 1)) > np.arange(L + 1)[:, None]] = 0.0
-    bump = synthesize(SphericalField(grid, coeffs=c)).values
+    bump = transform_for(grid).synthesize(c)
     c *= scale * amplitude / np.abs(bump).max()
     c[0, L] = scale * np.sqrt(4.0 * np.pi)
     st = RadialGraphState(grid, coeffs=c)

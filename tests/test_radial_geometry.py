@@ -11,33 +11,33 @@ import pytest
 from oracles import ellipsoid_curvatures
 from triheat import radial, shapes
 from triheat.radial import RadialGraphState
-from triheat.spherical import (
-    GridSpec,
-    SphericalField,
-    laplacian_power,
-    surface_gradient_sq,
-    synthesize,
-    transform_for,
-)
+from triheat.spherical import GridSpec, transform_for
 
 L = 16
 GRID = GridSpec.for_bandlimit(L)
+TR = transform_for(GRID)
 
 
 def harmonic_values(grid, l, m):
     c = np.zeros((grid.bandlimit + 1, 2 * grid.bandlimit + 1))
     c[l, grid.bandlimit + m] = 1.0
-    return synthesize(SphericalField(grid, coeffs=c)).values
+    return transform_for(grid).synthesize(c)
 
 
-def random_field(grid, seed, lmax=None, decay=2.0):
+def gradient_sq(c):
+    """Pointwise |grad u|^2 with respect to the round metric."""
+    u_t, u_p = TR.gradient_values(c)
+    return u_t**2 + (u_p / TR.sin_t[:, None]) ** 2
+
+
+def random_coeffs(grid, seed, lmax=None, decay=2.0):
     rng = np.random.default_rng(seed)
     n = grid.bandlimit
     lmax = n if lmax is None else lmax
     c = np.zeros((n + 1, 2 * n + 1))
     for l in range(lmax + 1):
         c[l, n - l : n + l + 1] = rng.standard_normal(2 * l + 1) / (1.0 + l) ** decay
-    return SphericalField(grid, coeffs=c)
+    return c
 
 
 def bumpy_state(amp=0.1):
@@ -72,7 +72,7 @@ def test_phi_composition_against_gradient():
     state = shapes.perturbed_sphere_state(GRID, 1.0, [(1, 0, 0.1)])
     c = np.zeros((L + 1, 2 * L + 1))
     c[1, L] = 1.0
-    grad_y = surface_gradient_sq(SphericalField(GRID, coeffs=c)).values
+    grad_y = gradient_sq(c)
     expected = state.values**2 + 0.01 * grad_y
     assert np.abs(radial.phi_factor(state) - expected).max() <= 1e-13
 
@@ -230,9 +230,9 @@ def test_isoperimetric_inequality(seed):
 def test_round_sphere_laplacian_scaling():
     """On a radius-R sphere the induced operator is the round one over R^2."""
     state = shapes.sphere_state(GRID, 1.3)
-    u = random_field(GRID, 1)
-    got = radial.induced_laplacian(state, u).values
-    want = laplacian_power(u, 1).values / 1.69
+    u = random_coeffs(GRID, 1)
+    got = radial.induced_laplacian(state, u)
+    want = TR.synthesize(TR.laplacian_coeffs(u, 1)) / 1.69
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -240,13 +240,13 @@ def test_laplacian_kills_constants_exactly():
     state = bumpy_state(0.1)
     c = np.zeros((L + 1, 2 * L + 1))
     c[0, L] = 3.0
-    out = radial.induced_laplacian(state, SphericalField(GRID, coeffs=c))
-    assert np.all(out.values == 0.0)
+    out = radial.induced_laplacian(state, c)
+    assert np.all(out == 0.0)
 
 
 def test_laplacian_integrates_to_zero():
     state = bumpy_state(0.1)
-    lap = radial.induced_laplacian(state, random_field(GRID, 2)).values
+    lap = radial.induced_laplacian(state, random_coeffs(GRID, 2))
     assert abs(radial.integrate(state, lap)) <= 1e-12
 
 
@@ -254,12 +254,12 @@ def test_laplacian_self_adjointness():
     # test functions at half the bandlimit keep every product inside the
     # dealiased quadrature window, so the defect sits at rounding level
     state = shapes.perturbed_sphere_state(GRID, 1.0, [(2, 0, 0.1), (3, 1, 0.05)])
-    u = random_field(GRID, 1, lmax=8)
-    v = random_field(GRID, 2, lmax=8)
-    lu = radial.induced_laplacian(state, u).values
-    lv = radial.induced_laplacian(state, v).values
-    a = radial.integrate(state, lu * synthesize(v).values)
-    b = radial.integrate(state, lv * synthesize(u).values)
+    u = random_coeffs(GRID, 1, lmax=8)
+    v = random_coeffs(GRID, 2, lmax=8)
+    lu = radial.induced_laplacian(state, u)
+    lv = radial.induced_laplacian(state, v)
+    a = radial.integrate(state, lu * TR.synthesize(v))
+    b = radial.integrate(state, lv * TR.synthesize(u))
     assert abs(a - b) <= 1e-10
 
 
@@ -327,9 +327,9 @@ def test_rho_velocity_conserves_volume():
 
 def test_gradient_norm_on_round_sphere():
     state = shapes.sphere_state(GRID, 1.3)
-    u = random_field(GRID, 5)
+    u = random_coeffs(GRID, 5)
     got = radial.gradient_norm_sq(state, u)
-    want = surface_gradient_sq(u).values / 1.69
+    want = gradient_sq(u) / 1.69
     assert np.abs(got - want).max() <= 1e-12
 
 
