@@ -11,6 +11,7 @@ rejected by :func:`validate_config`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["FlowConfig", "parse_config", "parse_config_text", "format_config", "validate_config"]
@@ -123,6 +124,9 @@ def validate_config(cfg: FlowConfig) -> None:
         raise ValueError("concentration.radius must be positive")
     for attr, key in _FIELD_TO_KEY.items():
         val = getattr(cfg, attr)
+        # a NaN threshold never fires, and NaN differs from its own echo
+        if isinstance(val, float) and math.isnan(val):
+            raise ValueError(f"config key {key!r} must be a number, got nan")
         # format_config writes one line per key, and parsing cuts comments
         # and strips the value, so such a value would not read back
         if isinstance(val, str) and (

@@ -88,7 +88,7 @@ def step_mesh(m: TriangleMesh, dt: float) -> TriangleMesh:
 def _mesh_step_ok(old: TriangleMesh, new: TriangleMesh) -> bool:
     if not np.all(np.isfinite(new.vertices)):
         return False
-    disp = np.linalg.norm(new.vertices - old.vertices, axis=1).max()
+    disp = mesh_mod._norms(new.vertices - old.vertices).max()
     if disp > 0.5 * mesh_mod.min_edge_length(old):
         return False
     # the face geometry stays cached for the next step's operators

@@ -402,21 +402,32 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
 
 # extra centers joined against the point tree at once in max_ball_sum
 _CENTER_BLOCK = 4096
+# pairs of the widened self-join reduced at once in max_ball_sum
+_PAIR_CHUNK = 65536
+
+
+def _sq_dists(p, i, q, j) -> np.ndarray:
+    """|p[:, i] - q[:, j]|^2 of coordinate rows, summed as ((x - y) ** 2).sum()."""
+    return sum((p[k, i] - q[k, j]) ** 2 for k in range(3))
 
 
 def max_ball_sum(points, centers, density, radius: float) -> float:
     """Largest sum of per-point density over a Euclidean ball of centers.
 
-    The radius must be positive (infinity is allowed). When the centers
-    begin with the points themselves (``centers[:len(points)]`` equals
-    ``points``, as for a node cloud or a mesh's vertices followed by its
-    edge midpoints), those ball sums come from one self-join of the
-    point tree, which lists each unordered pair within the radius once:
-    every point adds its density to its partner's sum and to its own.
-    The remaining centers are joined against the point tree in blocks of
-    ``_CENTER_BLOCK``, so the pairs held at once stay bounded as the
-    center count grows; each block is reduced with one bincount. A
-    center with no point in range sums to 0.
+    The radius r must be positive (infinity is allowed). A center with
+    no point in range sums to 0. Centers that do not begin with the
+    points are joined against the point tree ``_CENTER_BLOCK`` at a
+    time, so the pairs held at once stay bounded.
+
+    When they do (a node cloud, or a mesh's vertices and then its edge
+    midpoints), each further center c is anchored at its nearest point
+    p, at distance d; if d > r its ball is empty. A point in just one of
+    B(c) and B(p) lies in the shell r - d < |x - p| <= r + d. So one
+    self-join of the points at r + d_max, d_max the largest d up to r,
+    gives every point's ball sum, every anchor's core sum within
+    r - d_max, which B(c) holds too, and the shell pairs beyond: c adds
+    the shell points inside B(c) to its anchor's core. The join is
+    reduced ``_PAIR_CHUNK`` pairs at a time.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
@@ -431,18 +442,53 @@ def max_ball_sum(points, centers, density, radius: float) -> float:
         return float(density.sum())
     tree = cKDTree(points)
     n = len(points)
-    best = -np.inf
     if np.array_equal(centers[:n], points):
-        i, j = tree.query_pairs(radius, output_type="ndarray").T
-        sums = density + np.bincount(i, density[j], n) + np.bincount(j, density[i], n)
-        best = sums.max()
-        centers = centers[n:]
+        return _anchored_max(tree, points, centers[n:], density, radius)
+    best = -np.inf
     for start in range(0, len(centers), _CENTER_BLOCK):
         block = centers[start : start + _CENTER_BLOCK]
         pairs = cKDTree(block).sparse_distance_matrix(tree, radius, output_type="ndarray")
         sums = np.bincount(pairs["i"], density[pairs["j"]], len(block))
         best = max(best, sums.max())
     return float(best)
+
+
+def _anchored_max(tree, points, extra, density, radius: float) -> float:
+    """max_ball_sum over the points and then the extra centers."""
+    n, r2, pt = len(points), radius * radius, points.T.copy()
+    anchor = tree.query(extra, k=1)[1]
+    d2 = _sq_dists(extra.T, slice(None), pt, anchor)
+    near = d2 <= r2
+    # the centers of anchor p become first[p], ..., first[p] + cnt[p] - 1
+    order = np.flatnonzero(near)[np.argsort(anchor[near], kind="stable")]
+    anchor, ex = anchor[order], extra[order].T.copy()
+    cnt = np.bincount(anchor, minlength=n)
+    first = np.cumsum(cnt) - cnt
+    d_max = np.sqrt(d2[near].max(initial=0.0))
+    # both bounds moved out by a relative 1e-12 against rounding
+    inner2 = max(radius * (1.0 - 1e-12) - d_max, 0.0) ** 2
+    i, j = tree.query_pairs((radius + d_max) * (1.0 + 1e-12), output_type="ndarray").T
+    core, rim, fix = density.copy(), np.zeros(n), np.zeros(len(anchor))
+    for start in range(0, len(i), _PAIR_CHUNK):
+        a, b = i[start : start + _PAIR_CHUNK], j[start : start + _PAIR_CHUNK]
+        d2 = _sq_dists(pt, a, pt, b)
+        inn = d2 <= inner2
+        core += np.bincount(a, density[b] * inn, n)
+        core += np.bincount(b, density[a] * inn, n)
+        # the shell pairs both ways round, as (anchor p, point x)
+        p, x = np.concatenate([a[~inn], b[~inn]]), np.concatenate([b[~inn], a[~inn]])
+        rim += np.bincount(p, density[x] * (np.tile(d2[~inn], 2) <= r2), n)
+        # the s-th centers of all anchors with more than s are tested at once
+        rank = np.argsort(-cnt[p])
+        c, k, x, w = cnt[p[rank]], first[p[rank]], x[rank], density[x[rank]]
+        for s in range(c.max(initial=0)):
+            m = np.searchsorted(-c, -s)
+            ks = k[:m] + s
+            inside = _sq_dists(pt, x[:m], ex, ks) <= r2
+            fix += np.bincount(ks, w[:m] * inside, len(fix))
+    # a center farther than the radius from every point has an empty ball
+    empty = -np.inf if near.all() else 0.0
+    return float(max((core + rim).max(), (core[anchor] + fix).max(initial=empty)))
 
 
 # -- OBJ interchange ---------------------------------------------------------

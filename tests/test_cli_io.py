@@ -147,6 +147,10 @@ def test_config_validation():
         ("safety = nan\n", "safety"),
         ("dt.policy = fixed\ndt.value = nan\n", "dt.value"),
         ("concentration.radius = nan\n", "concentration.radius"),
+        ("stop.ao_inf = nan\n", "stop.ao_inf"),
+        ("epsilon0 = nan\n", "epsilon0"),
+        ("shape.radius = nan\n", "shape.radius"),
+        ("dt.policy = auto\ndt.value = nan\n", "dt.value"),
     ],
 )
 def test_config_rejects_nan(text, key):

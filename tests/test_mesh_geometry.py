@@ -434,6 +434,25 @@ def test_concentration_monotone_in_radius():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("radius", [0.05, 0.12, 0.25, 0.6])
+def test_concentration_matches_a_dense_sum(radius):
+    m = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+    h = mesh.mean_curvature(m)
+    ao2, _ = mesh.tracefree_norm_sq(m)
+    _, mass = mesh.build_operators(m)
+    density = (ao2 + 0.5 * h**2) * mass
+    v = m.vertices
+    pairs = m.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges = np.unique(np.sort(pairs, axis=1), axis=0)
+    ends = v[edges[:, 0]], v[edges[:, 1]]
+    # the smallest radius lies below the largest half-edge
+    assert 2.0 * 0.05 < np.linalg.norm(ends[0] - ends[1], axis=1).max()
+    centers = np.concatenate([v, (ends[0] + ends[1]) / 2.0])
+    d2 = sum((centers[:, None, k] - v[None, :, k]) ** 2 for k in range(3))
+    want = np.where(d2 <= radius**2, density, 0.0).sum(axis=1).max()
+    assert abs(mesh.concentration(m, radius) - want) <= 1e-12 * want
+
+
 def test_concentration_rejects_bad_radius():
     m = shapes.icosphere(2)
     with pytest.raises(ValueError):
@@ -555,6 +574,25 @@ def test_max_ball_sum_best_center_in_the_last_block():
     centers[-1] = pts[7]
     assert_ball_max(pts, centers, dens, 0.3)
     assert mesh.max_ball_sum(pts, centers, dens, 0.3) >= 100.0
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    n_mid=hst.integers(0, 40),
+    n_free=hst.integers(0, 20),
+    radius=hst.floats(0.05, 1.5),
+)
+def test_max_ball_sum_extra_centers_from_their_nearest_point(
+    seed, n_mid, n_free, radius
+):
+    rng, pts, dens = random_cloud(seed, 40)
+    dens = dens - 0.4  # signed, so the best ball can be any one
+    ends = rng.integers(0, len(pts), size=(n_mid, 2))
+    mids = (pts[ends[:, 0]] + pts[ends[:, 1]]) / 2.0
+    # some of these lie farther than the radius from every point
+    free = rng.uniform(-1.6, 1.6, size=(n_free, 3))
+    assert_ball_max(pts, np.concatenate([pts, mids, free]), dens, radius)
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
