@@ -531,10 +531,10 @@ def load_obj(path) -> TriangleMesh:
                 raise ValueError(f"line {lineno}: unsupported record {tag!r}")
     if not verts or not faces:
         raise ValueError("OBJ file holds no complete mesh")
-    faces = np.asarray(faces, dtype=np.int64)
-    if faces.max() >= len(verts):
+    # before the int64 conversion, which overflows on huge indices
+    if max(map(max, faces)) >= len(verts):
         raise ValueError("face index exceeds vertex count")
-    return TriangleMesh(np.asarray(verts, dtype=float), faces)
+    return TriangleMesh(np.asarray(verts, dtype=float), np.asarray(faces, np.int64))
 
 
 def save_obj(mesh: TriangleMesh, path) -> None:

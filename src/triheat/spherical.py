@@ -51,6 +51,11 @@ __all__ = [
 
 FLOAT_FMT = "%.17g"
 
+# Highest degree a coefficient file may name. The transform tables grow
+# as L^3 and take about 20 GB at L = 1024, so a file naming a higher
+# degree is refused before any array is sized from it.
+MAX_FILE_DEGREE = 1024
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -367,7 +372,8 @@ def read_coeffs_csv(path, grid: GridSpec | None = None):
 
     When grid is omitted, the smallest valid bandlimit covering the rows
     (at least 4) is used with default oversampling. A repeated (l, m)
-    row, a non-finite value or an order with |m| > l raises ValueError.
+    row, a non-finite value, an order with |m| > l or a degree above
+    ``MAX_FILE_DEGREE`` raises ValueError.
     """
     rows = {}
     with open(path) as fh:
@@ -379,13 +385,17 @@ def read_coeffs_csv(path, grid: GridSpec | None = None):
             if not line:
                 continue
             l_s, m_s, v_s = line.split(",")
-            key = (int(l_s), int(m_s))
-            if key in rows:
-                raise ValueError(f"repeated row l={key[0]}, m={key[1]}: {line!r}")
+            l, m = int(l_s), int(m_s)
+            if not abs(m) <= l <= MAX_FILE_DEGREE:
+                raise ValueError(
+                    f"invalid row l={l}, m={m}: need |m| <= l <= {MAX_FILE_DEGREE}"
+                )
+            if (l, m) in rows:
+                raise ValueError(f"repeated row l={l}, m={m}: {line!r}")
             value = float(v_s)
             if not np.isfinite(value):
                 raise ValueError(f"non-finite coefficient in row {line!r}")
-            rows[key] = value
+            rows[l, m] = value
     if not rows:
         raise ValueError("no coefficient rows found")
     lmax = max(l for l, _ in rows)
@@ -396,8 +406,6 @@ def read_coeffs_csv(path, grid: GridSpec | None = None):
         raise ValueError(f"file holds degree {lmax}, above bandlimit {L}")
     c = np.zeros((L + 1, 2 * L + 1))
     for (l, m), v in rows.items():
-        if abs(m) > l:
-            raise ValueError(f"invalid row l={l}, m={m}")
         c[l, L + m] = v
     return grid, c
 

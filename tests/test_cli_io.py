@@ -458,3 +458,123 @@ def test_rescale_rejects_nan_factor(tmp_path, capsys):
     assert main(["rescale", "--state", src, "--factor", "nan", "--out", str(dst)]) == 1
     assert "factor must be positive" in capsys.readouterr().err
     assert not dst.exists()
+
+
+# ---------------------------------------------------------------------------
+# state file parsers under drawn input
+# ---------------------------------------------------------------------------
+
+PARSER_PROPERTY = settings(
+    max_examples=150, derandomize=True, database=None, deadline=None
+)
+
+
+@hst.composite
+def coefficient_arrays(draw):
+    """Coefficients of a bandlimit from 4 to 10, any finite float per
+    entry (subnormals and signed zeros included), zero outside |m| <= l
+    where the file format holds no rows."""
+    L = draw(hst.integers(4, 10))
+    flat = draw(
+        hst.lists(
+            hst.floats(allow_nan=False, allow_infinity=False),
+            min_size=(L + 1) ** 2,
+            max_size=(L + 1) ** 2,
+        )
+    )
+    c = np.zeros((L + 1, 2 * L + 1))
+    c[np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]] = flat
+    return c
+
+
+@PARSER_PROPERTY
+@given(coefficient_arrays())
+def test_coefficient_csv_round_trips_bit_exactly(tmp_path_factory, c):
+    path = tmp_path_factory.mktemp("coeffs") / "state.csv"
+    spherical.write_coeffs_csv(c, path)
+    grid, back = spherical.read_coeffs_csv(path)
+    assert grid.bandlimit == len(c) - 1
+    assert back.tobytes() == c.tobytes()
+
+
+# tokens of both formats, numbers at and past their limits, and
+# characters that str.split and int() treat specially
+_TOKENS = hst.sampled_from(
+    ["v", "f", "vn", "l", "m", "value", "0", "1", "2", "3", "4", "-1", "+2",
+     "1.5", "-0", "1e308", "1e999", "nan", "-inf", "0x10", "1_0", "١",
+     "9" * 25, "-" + "9" * 25, "1/2/3", "1//2", "/", "", "#", "é",
+     " ", "\x00", "\x0c"]
+)
+_INTS = hst.one_of(_TOKENS, hst.integers(-3, 12).map(str), hst.integers().map(str))
+_FLOATS = hst.one_of(_TOKENS, hst.floats().map(repr))
+
+
+def _lines(record):
+    """Drawn lines: tokens joined by a drawn separator, any text, or a
+    record of the format ('l,m,value' for the CSV, 'v' or 'f' for OBJ)
+    whose fields are mostly numbers of the kind it expects."""
+    joined = hst.lists(_TOKENS, max_size=6).flatmap(
+        lambda toks: hst.sampled_from([" ", ",", "/", ""]).map(lambda s: s.join(toks))
+    )
+    text = hst.text(max_size=24).map(lambda s: s.replace("\n", "").replace("\r", ""))
+    if record == "l,m,value":
+        shaped = hst.tuples(_INTS, _INTS, _FLOATS).map(",".join)
+    else:
+        three = lambda fields: hst.lists(fields, min_size=3, max_size=3)
+        shaped = hst.one_of(
+            three(_FLOATS).map(lambda f: " ".join(["v", *f])),
+            three(_INTS).map(lambda f: " ".join(["f", *f])),
+        )
+    return hst.one_of(shaped, joined, text)
+
+
+def _with_lines(data, lines, drawn, first=0):
+    """The lines with 1 to 3 drawn lines inserted at drawn places from
+    index ``first`` on."""
+    lines = list(lines)
+    for _ in range(data.draw(hst.integers(1, 3))):
+        lines.insert(data.draw(hst.integers(first, len(lines))), data.draw(drawn))
+    return "\n".join(lines) + "\n"
+
+
+@PARSER_PROPERTY
+@given(hst.data())
+def test_malformed_coefficient_csv_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("coeffs") / "state.csv"
+    path.write_text(
+        # a file without the header is refused before any row is read
+        _with_lines(data, ["l,m,value", "0,0,3.5", "2,1,0.01"], _lines("l,m,value"), 1),
+        encoding="utf-8",
+    )
+    try:
+        spherical.read_coeffs_csv(path)
+    except ValueError:
+        pass
+
+
+@PARSER_PROPERTY
+@given(hst.data())
+def test_malformed_obj_raises_value_error(tmp_path_factory, data):
+    tetra = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "v 0 0 1",
+             "f 1 3 2", "f 1 2 4", "f 1 4 3", "f 2 3 4"]
+    path = tmp_path_factory.mktemp("obj") / "mesh.obj"
+    path.write_text(_with_lines(data, tetra, _lines("vf")), encoding="utf-8")
+    try:
+        mesh.load_obj(path)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("degree", [99999, 10**25])
+def test_coefficient_csv_refuses_a_degree_past_the_limit(tmp_path, degree):
+    path = tmp_path / "state.csv"
+    path.write_text(f"l,m,value\n0,0,3.5\n{degree},0,1.0\n")
+    with pytest.raises(ValueError, match=f"l={degree}, m=0"):
+        spherical.read_coeffs_csv(path)
+
+
+def test_obj_refuses_a_face_index_past_int64(tmp_path):
+    path = tmp_path / "mesh.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 " + "9" * 25 + "\n")
+    with pytest.raises(ValueError, match="exceeds vertex count"):
+        mesh.load_obj(path)

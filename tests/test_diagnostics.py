@@ -442,6 +442,34 @@ def test_spectral_concentration_at_l128_matches_the_tree():
     assert np.abs(sums[sample] - want).max() <= 1e-12 * alpha
 
 
+@RING_PROPERTY
+@given(ring_grids())
+def test_ring_bounds_hold_and_the_settled_max_is_exact(drawn):
+    grid, scale, amplitude, radius, rng = drawn
+    rho = scale * (1.0 + amplitude * rng.uniform(-1.0, 1.0, (grid.nlat, grid.nlon)))
+    pts = grid_points(grid, rho)
+    # signed, so a bound that summed the density itself would fail
+    density = rng.normal(size=rho.size)
+    balls = radial._RingBalls(grid, rho, pts, density, radius)
+    sums = radial._ring_ball_sums(grid, rho, pts, density, radius)
+    assert np.all(sums <= balls.bounds() + balls.slack)
+    best, settled = balls.max()
+    assert best == sums.max()
+    assert 1 <= settled <= sums.size
+
+
+@pytest.mark.parametrize(
+    "modes", [[], [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]], ids=["round", "modes"]
+)
+def test_ring_bounds_leave_few_centers_to_settle_at_l64(modes):
+    st = shapes.perturbed_sphere_state(GridSpec.for_bandlimit(64), 1.0, modes)
+    pts, wts = radial.node_cloud(st)
+    density = radial.curvature_bundle(st).norm_a_sq.ravel() * wts
+    best, settled = radial._RingBalls(st.grid, st.values, pts, density, 0.25).max()
+    assert best == radial.concentration(st, 0.25)
+    assert settled < 0.1 * pts.shape[0]
+
+
 # ---------------------------------------------------------------------------
 # record serialization
 # ---------------------------------------------------------------------------
