@@ -434,9 +434,9 @@ def test_concentration_monotone_in_radius():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("radius", [0.05, 0.12, 0.25, 0.6])
-def test_concentration_matches_a_dense_sum(radius):
-    m = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+def dense_concentration(m, radius):
+    """(largest ball sum over the vertices and every edge midpoint, largest
+    half-edge), by a dense sum."""
     h = mesh.mean_curvature(m)
     ao2, _ = mesh.tracefree_norm_sq(m)
     _, mass = mesh.build_operators(m)
@@ -445,11 +445,34 @@ def test_concentration_matches_a_dense_sum(radius):
     pairs = m.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     edges = np.unique(np.sort(pairs, axis=1), axis=0)
     ends = v[edges[:, 0]], v[edges[:, 1]]
-    # the smallest radius lies below the largest half-edge
-    assert 2.0 * 0.05 < np.linalg.norm(ends[0] - ends[1], axis=1).max()
     centers = np.concatenate([v, (ends[0] + ends[1]) / 2.0])
     d2 = sum((centers[:, None, k] - v[None, :, k]) ** 2 for k in range(3))
     want = np.where(d2 <= radius**2, density, 0.0).sum(axis=1).max()
+    return want, np.linalg.norm(ends[0] - ends[1], axis=1).max() / 2.0
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.12, 0.25, 0.6])
+def test_concentration_matches_a_dense_sum(radius):
+    m = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+    want, half_edge = dense_concentration(m, radius)
+    # the smallest radius lies below the largest half-edge
+    assert 0.05 < half_edge
+    assert abs(mesh.concentration(m, radius) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.25, 0.6])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_concentration_on_coarse_meshes_matches_a_dense_sum(n, radius):
+    m = shapes.icosphere(n)
+    if n == 2:
+        rng = np.random.default_rng(7)
+        noise = 0.1 * reference_min_edge_length(m) * rng.normal(size=m.vertices.shape)
+        m = TriangleMesh(m.vertices + noise, m.faces)
+    want, half_edge = dense_concentration(m, radius)
+    # here a midpoint lies farther than the radius from its edge's ends,
+    # so max_ball_sum anchors the midpoints at their nearest vertices
+    if n < 2 and radius < 0.5:
+        assert half_edge > radius
     assert abs(mesh.concentration(m, radius) - want) <= 1e-12 * want
 
 
@@ -465,9 +488,9 @@ def test_concentration_centers_each_edge_midpoint_once(monkeypatch):
     seen = []
     ball_sum = mesh.max_ball_sum
 
-    def spy(points, centers, density, radius):
+    def spy(points, centers, density, radius, anchors=None):
         seen.append(len(centers))
-        return ball_sum(points, centers, density, radius)
+        return ball_sum(points, centers, density, radius, anchors=anchors)
 
     monkeypatch.setattr(mesh, "max_ball_sum", spy)
     m = shapes.icosphere(2)
@@ -499,8 +522,8 @@ def random_cloud(seed, n):
     return rng, pts * rng.uniform(0.9, 1.1, size=(n, 1)), rng.uniform(0.0, 1.0, n)
 
 
-def assert_ball_max(points, centers, density, radius):
-    got = mesh.max_ball_sum(points, centers, density, radius)
+def assert_ball_max(points, centers, density, radius, anchors=None):
+    got = mesh.max_ball_sum(points, centers, density, radius, anchors=anchors)
     want = brute_ball_max(points, centers, density, radius)
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -593,6 +616,57 @@ def test_max_ball_sum_extra_centers_from_their_nearest_point(
     # some of these lie farther than the radius from every point
     free = rng.uniform(-1.6, 1.6, size=(n_free, 3))
     assert_ball_max(pts, np.concatenate([pts, mids, free]), dens, radius)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    chunk=hst.integers(1, 9),
+    n_extra=hst.integers(0, 40),
+    radius=hst.floats(0.05, 1.5),
+)
+def test_max_ball_sum_extra_centers_from_any_anchor_in_range(
+    seed, chunk, n_extra, radius
+):
+    rng, pts, dens = random_cloud(seed, 30)
+    dens = dens - 0.4  # signed, so the best ball can be any one
+    step = rng.normal(size=(n_extra, 3))
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    step *= radius * rng.uniform(0.0, 0.99, (n_extra, 1))
+    extra = pts[rng.integers(0, len(pts), n_extra)] + step
+    # any point within the radius, as max_ball_sum measures it, not only
+    # the nearest; the point the center was drawn from is one of them
+    d2 = sum((extra[:, None, k] - pts[None, :, k]) ** 2 for k in range(3))
+    anchors = np.array([rng.choice(np.flatnonzero(row <= radius**2)) for row in d2])
+    with pytest.MonkeyPatch.context() as mp:
+        # pair chunks of a few pairs: some hold no shell pair at all
+        mp.setattr(mesh, "_PAIR_CHUNK", chunk)
+        centers = np.concatenate([pts, extra])
+        assert_ball_max(pts, centers, dens, radius, anchors=anchors)
+
+
+def test_max_ball_sum_anchors_out_of_range_fall_back_to_the_nearest_point():
+    rng, pts, dens = random_cloud(12, 40)
+    # two heavy points apart from the cloud and 0.7 from each other: only
+    # the first extra center, between them, holds both in its ball
+    pts = np.concatenate([pts, [[0.0, 0.0, 2.0], [0.0, 0.0, 2.7]]])
+    dens = np.append(dens, [50.0, 50.0])
+    extra = np.concatenate([[[0.0, 0.0, 2.35]], rng.uniform(-1.2, 1.2, size=(30, 3))])
+    centers = np.concatenate([pts, extra])
+    dist = np.linalg.norm(extra[:, None] - pts[None], axis=2)
+    radius = 0.4
+    # the farthest point: out of range for every center
+    anchors = dist.argmax(axis=1)
+    assert (dist[np.arange(len(extra)), anchors] > radius).all()
+    assert_ball_max(pts, centers, dens, radius, anchors=anchors)
+    assert mesh.max_ball_sum(pts, centers, dens, radius, anchors=anchors) == 100.0
+    # one center out of range is enough to fall back
+    anchors = dist.argmin(axis=1)
+    anchors[0] = dist[0].argmax()
+    assert_ball_max(pts, centers, dens, radius, anchors=anchors)
+    assert mesh.max_ball_sum(pts, centers, dens, radius, anchors=anchors) == 100.0
+    with pytest.raises(ValueError, match="one point per center"):
+        mesh.max_ball_sum(pts, centers, dens, radius, anchors=anchors[:-1])
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
