@@ -10,6 +10,14 @@ independently of resolution.
 Sign conventions match the smooth side: outward normals, round spheres
 have H = 2 / R > 0. The stiffness matrix W is negative semidefinite
 with zero row sums and Delta u = M^{-1} W u.
+
+The per-state kernels (face geometry, operators, vertex normals,
+volume) work on coordinate rows: x, y and z of the F corners, edges or
+normals are each one contiguous array, taken once from a (3, n) copy
+of the vertices. They give the same bits as the (F, 3) expressions
+they replace by adding in the same order: norms add (x + y) + z, as
+np.linalg.norm(x, axis=1) does, and dot products (x + z) + y, as
+np.einsum("ij,ij->i", a, b) does on C-ordered arrays.
 """
 
 from __future__ import annotations
@@ -142,14 +150,41 @@ class _Topology(NamedTuple):
 
     faces: np.ndarray  # the array this entry was built from
     corners: np.ndarray  # f.T.ravel(): corner k of every face, k = 0, 1, 2
+    # 0/1 matrices, (n, 3F) and (n, F): row v picks the corners of v, and
+    # the faces of those corners, in corner order. A product sums as
+    # np.bincount(corners, x) does: from 0.0, in corner order
+    vertex_corners: sp.csr_matrix
+    vertex_faces: sp.csr_matrix
     indptr: np.ndarray  # CSR pattern of W, diagonal included
     indices: np.ndarray
-    slots: np.ndarray  # where each of the 6F cotangent terms lands in W.data
+    # on a closed oriented manifold, the two terms of each off-diagonal
+    # slot as (2, off) indices into the 3F half-cotangents; else where
+    # each of the 6F terms lands in W.data
+    pairs: np.ndarray | None
+    slots: np.ndarray | None
     diag: np.ndarray  # where each row's diagonal lies in W.data
     off: np.ndarray  # the off-diagonal positions of W.data, row by row
     rows: np.ndarray  # rows with off-diagonal entries
     starts: np.ndarray  # where each of those rows begins in W.data[off]
     edges: np.ndarray  # undirected edges (a, b), a < b, sorted by a * n + b
+
+
+def _stable_argsort(keys: np.ndarray, top: int):
+    """np.argsort(keys, kind="stable") of int64 keys in [0, top), and the
+    sorted keys.
+
+    numpy sorts int64 values about 2.5x faster than it argsorts them, so
+    when key and index fit in one int64 together, the packed values are
+    sorted instead.
+    """
+    shift = max(len(keys) - 1, 1).bit_length()
+    if max(top - 1, 1).bit_length() + shift > 62:
+        order = np.argsort(keys, kind="stable")
+        return order, np.take(keys, order)
+    packed = keys << shift
+    packed |= np.arange(len(keys))
+    packed.sort()
+    return packed & ((1 << shift) - 1), packed >> shift
 
 
 def _topology(mesh: TriangleMesh) -> _Topology:
@@ -158,87 +193,166 @@ def _topology(mesh: TriangleMesh) -> _Topology:
     if topo is not None and topo.faces is mesh.faces:
         return topo
     f, n = mesh.faces, mesh.n_vertices
+    # the face geometry gathers without a range check
+    if f.min(initial=0) < 0 or f.max(initial=-1) >= n:
+        raise ValueError("face indices out of range")
+    F = len(f)
+    corners = f.T.ravel()
+    q, _ = _stable_argsort(corners, n)
+    ones = np.ones(3 * F)
+    by_vertex = np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n))])
     i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
-    I = np.concatenate([i1, i2, i2, i0, i0, i1])
-    J = np.concatenate([i2, i1, i0, i2, i1, i0])
+    # term t of the 6F is half the cotangent of face t % F at corner
+    # (t % 3F) // F: the first 3F run i -> j round each face, the last 3F
+    # j -> i
+    I = np.concatenate([i1, i2, i0, i2, i0, i1])
+    J = np.concatenate([i2, i0, i1, i1, i2, i0])
     d = np.arange(n)
-    keys = np.concatenate([I * n + J, d * (n + 1)])
-    # np.unique(keys, return_inverse=True) with less overhead: one argsort,
+    # np.unique(keys, return_inverse=True) with less overhead: one sort,
     # and a flag where each run of equal sorted keys starts
-    order = np.argsort(keys)
-    keys = np.take(keys, order)
+    order, keys = _stable_argsort(np.concatenate([I * n + J, d * (n + 1)]), n * n)
     run = np.empty(len(keys), dtype=bool)
     run[0] = True
     np.not_equal(keys[1:], keys[:-1], out=run[1:])
-    inv = np.empty(len(keys), dtype=np.intp)
-    inv[order] = np.cumsum(run) - 1
-    keys = np.take(keys, np.flatnonzero(run))
+    first = np.flatnonzero(run)
+    keys = np.take(keys, first)
     r, c = np.divmod(keys, n)
+    off = np.flatnonzero(r != c)
+    diag = np.searchsorted(keys, d * (n + 1))
+    # on a closed oriented manifold every off-diagonal slot (i, j) gets two
+    # terms: the face with the edge i -> j gives one of the first 3F, the
+    # face across one of the last 3F. So no term lands on the diagonal,
+    # and the sorted terms are the slots' pairs, in slot order, each the
+    # lower first
+    pairs = None
+    if 2 * len(off) == 6 * F and np.all(
+        np.take(np.diff(first, append=len(run)), off) == 2
+    ):
+        t = np.compress(order < 6 * F, order).reshape(-1, 2).T
+        if np.all(t[1] >= 3 * F):
+            t[1] -= 3 * F
+            pairs = np.ascontiguousarray(t)
+    slots = None
+    if pairs is None:
+        slots = np.empty(len(order), dtype=np.intp)
+        slots[order] = np.cumsum(run) - 1
+        # the terms in the order (i1, i2), (i2, i1), (i2, i0), (i0, i2),
+        # (i0, i1), (i1, i0), which bincount adds them in
+        slots = slots[: 6 * F].reshape(6, F)[[0, 3, 1, 4, 2, 5]].reshape(-1)
     # scipy picks the index dtype once, so filling W later copies nothing
     pattern = sp.csr_matrix(
         (np.zeros(len(keys)), c, np.searchsorted(r, np.arange(n + 1))), shape=(n, n)
     )
     off_indptr = pattern.indptr - np.arange(n + 1)
     rows = np.flatnonzero(np.diff(off_indptr))
+    up = r < c
     topo = _Topology(
         faces=f,
-        corners=f.T.ravel(),
+        corners=corners,
+        vertex_corners=sp.csr_matrix((ones, q, by_vertex), shape=(n, 3 * F)),
+        vertex_faces=sp.csr_matrix((ones, q % F, by_vertex), shape=(n, F)),
         indptr=pattern.indptr,
         indices=pattern.indices,
-        slots=inv[: len(I)],
-        diag=inv[len(I) :],
-        off=np.flatnonzero(r != c),
+        pairs=pairs,
+        slots=slots,
+        diag=diag,
+        off=off,
         rows=rows,
         starts=off_indptr[rows],
-        edges=np.stack([r[r < c], c[r < c]], axis=1),
+        edges=np.stack([r[up], c[up]], axis=1),
     )
     mesh._topology = topo
     return topo
 
 
 class _FaceGeometry(NamedTuple):
-    corners: tuple  # p0, p1, p2, each (F, 3)
-    edges: tuple  # e0 = p2 - p1, e1 = p0 - p2, e2 = p1 - p0: e_k faces corner k
-    lengths: tuple  # |e0|, |e1|, |e2|
-    dots: tuple  # at corner k, the dot of the two edges leaving it
+    """Face geometry on coordinate rows: x, y and z each one contiguous row.
+
+    ``corners`` and ``normals`` are (F, 3) views of (3, F) rows, so
+    ``.T`` gives the rows back without a copy. Edge k, e_k, faces corner
+    k: e0 = p2 - p1, e1 = p0 - p2, e2 = p1 - p0.
+    """
+
+    corners: tuple  # p0, p1, p2
+    lengths: np.ndarray  # (3, F): |e0|, |e1|, |e2|, summed (x0 + x1) + x2
+    sq_lengths: np.ndarray  # (3, F): |e_k|^2 summed (x0 + x2) + x1
+    dots: np.ndarray  # (3, F): at corner k, the dot of the two edges leaving it
     normals: np.ndarray  # cross(p1 - p0, p2 - p0), length 2 * area, outward
     dbl_areas: np.ndarray
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Row lengths of an (n, 3) array, bit for bit as np.linalg.norm(x, axis=1)."""
-    s = x * x
-    return np.sqrt(s[:, 0] + s[:, 1] + s[:, 2])
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x| of (3, n) coordinate rows, summed (x0 + x1) + x2.
+
+    That is bit for bit np.linalg.norm(x.T, axis=1).
+    """
+    s = x[0] * x[0]
+    s += x[1] * x[1]
+    s += x[2] * x[2]
+    return np.sqrt(s, out=s)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross products of (n, 3) arrays, bit for bit as np.cross(a, b)."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+def _row_dots(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a . b of (3, n) coordinate rows, summed (x0 + x2) + x1.
+
+    That is the order np.einsum("ij,ij->i", a.T, b.T) adds in when the
+    (n, 3) arrays are C-ordered (numpy 2.4; on F-ordered ones it adds
+    (x0 + x1) + x2). The reference tests of the mesh operators pin it.
+    """
+    s = np.multiply(a[0], b[0], out=out)
+    s += a[2] * b[2]
+    s += a[1] * b[1]
+    return s
+
+
+def _row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cross(a, b) of (3, n) coordinate rows, bit for bit as np.cross."""
+    out = np.empty((3, a.shape[1]))
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[i], b[j], out=out[k])
+        out[k] -= a[j] * b[i]
+    return out
 
 
 def _faces(mesh: TriangleMesh) -> _FaceGeometry:
     """Per-face geometry of this vertex set, computed once."""
     if "faces" in mesh._cache:
         return mesh._cache["faces"]
-    corners = np.take(mesh.vertices, _topology(mesh).corners, axis=0)
-    p0, p1, p2 = corners.reshape(3, -1, 3)
-    e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
-    # p2 - p0 is -e1 to the last bit, since rounding is symmetric, so
-    # cross(e2, -e1) = cross(e1, e2) to the last bit too
-    fn = _cross(e1, e2)
+    corners = _topology(mesh).corners
+    F = mesh.n_faces
+    vt = mesh.vertices.T.copy()
+    # p[k, c]: coordinate k of corner c of every face. The topology has
+    # checked the indices, and a take into out= that may raise buffers
+    p = np.empty((3, 3, F))
+    for k in range(3):
+        np.take(vt[k], corners, out=p[k].reshape(-1), mode="clip")
+    # e[j, k]: coordinate k of edge j
+    e = np.empty((3, 3, F))
+    for j, (a, b) in enumerate(((2, 1), (0, 2), (1, 0))):
+        np.subtract(p[:, a], p[:, b], out=e[j])
+    # the squares serve both orders: norms add (x0 + x1) + x2, as
+    # np.linalg.norm does, and squared lengths (x0 + x2) + x1, as np.einsum
+    s = e * e
+    lengths = np.add(s[:, 0], s[:, 1])
+    lengths += s[:, 2]
+    np.sqrt(lengths, out=lengths)
+    sq = np.add(s[:, 0], s[:, 2])
+    sq += s[:, 1]
+    # the corner dots of -e_{k+1} and e_{k+2}: the sum of the plain
+    # products, negated, since rounding is symmetric
+    dots = np.empty((3, F))
+    for k in range(3):
+        _row_dots(e[(k + 1) % 3], e[(k + 2) % 3], out=dots[k])
+    np.negative(dots, out=dots)
+    # p2 - p0 is -e1 to the last bit too, so cross(e2, -e1) = cross(e1, e2)
+    fn = _row_cross(e[1], e[2])
     geo = _FaceGeometry(
-        corners=(p0, p1, p2),
-        edges=(e0, e1, e2),
-        lengths=(_norms(e0), _norms(e1), _norms(e2)),
-        dots=(
-            np.einsum("ij,ij->i", -e1, e2),
-            np.einsum("ij,ij->i", -e2, e0),
-            np.einsum("ij,ij->i", -e0, e1),
-        ),
-        normals=fn,
-        dbl_areas=_norms(fn),
+        corners=(p[:, 0].T, p[:, 1].T, p[:, 2].T),
+        lengths=lengths,
+        sq_lengths=sq,
+        dots=dots,
+        normals=fn.T,
+        dbl_areas=_row_norms(fn),
     )
     mesh._cache["faces"] = geo
     return geo
@@ -260,36 +374,46 @@ def build_operators(mesh: TriangleMesh):
     n = mesh.n_vertices
     topo = _topology(mesh)
     geo = _faces(mesh)
-    e0, e1, e2 = geo.edges
     dblA = geo.dbl_areas
     # cot at corner k = dot of adjacent edges / (2 * face area)
-    cot0, cot1, cot2 = (d / dblA for d in geo.dots)
+    cot = geo.dots / dblA
+    half = 0.5 * cot.reshape(-1)
 
-    terms = 0.5 * np.concatenate([cot0, cot0, cot1, cot1, cot2, cot2])
-    data = np.bincount(topo.slots, terms, len(topo.indices))
+    # the off-diagonal and the diagonal slots cover W.data between them
+    data = np.empty(len(topo.indices))
+    if topo.pairs is None:
+        # some slot has other than two terms, or two from faces on one
+        # side: an open, non-manifold or inconsistently oriented mesh
+        terms = np.repeat(half.reshape(3, -1), 2, axis=0).reshape(-1)
+        offdata = np.take(np.bincount(topo.slots, terms, len(data)), topo.off)
+    else:
+        # a sum of two terms has no order; + 0.0 turns -0.0 + -0.0 into
+        # the +0.0 that bincount's zero start gives
+        offdata = np.take(half, topo.pairs[0])
+        offdata += np.take(half, topo.pairs[1])
+        offdata += 0.0
+    data[topo.off] = offdata
     # each diagonal is minus its row's off-diagonal sum, added in column
     # order as scipy's row sum adds them
     rowsum = np.zeros(n)
-    rowsum[topo.rows] = np.add.reduceat(data[topo.off], topo.starts)
+    rowsum[topo.rows] = np.add.reduceat(offdata, topo.starts)
     data[topo.diag] = -rowsum
     W = sp.csr_matrix((data, topo.indices, topo.indptr), shape=(n, n))
 
-    sq0 = np.einsum("ij,ij->i", e0, e0)
-    sq1 = np.einsum("ij,ij->i", e1, e1)
-    sq2 = np.einsum("ij,ij->i", e2, e2)
-    fA = 0.5 * dblA
-    vor0 = (sq2 * cot2 + sq1 * cot1) / 8.0
-    vor1 = (sq0 * cot0 + sq2 * cot2) / 8.0
-    vor2 = (sq1 * cot1 + sq0 * cot0) / 8.0
+    # (|e_a|^2 cot_a + |e_b|^2 cot_b) / 8 over the two edges a, b at a
+    # corner; times 0.125 rounds as / 8 does
+    sc = geo.sq_lengths * cot
+    vor = np.empty_like(sc)
+    for k in range(3):
+        np.add(sc[(k + 2) % 3], sc[(k + 1) % 3], out=vor[k])
+    vor *= 0.125
     # obtuse triangles get the area/2 - area/4 - area/4 split instead
-    ob0 = cot0 < 0.0
-    ob1 = cot1 < 0.0
-    ob2 = cot2 < 0.0
-    obtuse = ob0 | ob1 | ob2
-    vor0 = np.where(obtuse, np.where(ob0, fA / 2.0, fA / 4.0), vor0)
-    vor1 = np.where(obtuse, np.where(ob1, fA / 2.0, fA / 4.0), vor1)
-    vor2 = np.where(obtuse, np.where(ob2, fA / 2.0, fA / 4.0), vor2)
-    M = np.bincount(topo.corners, np.concatenate([vor0, vor1, vor2]), n)
+    obtuse = cot < 0.0
+    ob = np.flatnonzero(obtuse.any(axis=0))
+    if len(ob):
+        fA = 0.5 * np.take(dblA, ob)
+        vor[:, ob] = np.where(obtuse[:, ob], fA / 2.0, fA / 4.0)
+    M = topo.vertex_corners @ vor.reshape(-1)
 
     mesh._cache["ops"] = (W, M)
     return W, M
@@ -299,12 +423,11 @@ def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
     """Outward unit normals by area-weighted face-normal averaging."""
     if "normals" in mesh._cache:
         return mesh._cache["normals"]
-    corners = _topology(mesh).corners
     n = mesh.n_vertices
-    acc = np.stack(
-        [np.bincount(corners, np.tile(x, 3), n) for x in _faces(mesh).normals.T], axis=1
-    )
-    nrm = acc / _norms(acc)[:, None]
+    sums = _topology(mesh).vertex_faces
+    acc = np.stack([sums @ x for x in _faces(mesh).normals.T])
+    # C-ordered (n, 3), as the vertices the step adds them to
+    nrm = np.divide(acc.T, _row_norms(acc)[:, None], out=np.empty((n, 3)))
     mesh._cache["normals"] = nrm
     return nrm
 
@@ -319,7 +442,7 @@ def mean_curvature(mesh: TriangleMesh) -> np.ndarray:
         return mesh._cache["H"]
     W, M = build_operators(mesh)
     lap = (W @ mesh.vertices) / M[:, None]
-    H = -np.einsum("ij,ij->i", lap, vertex_normals(mesh))
+    H = -_row_dots(lap.T, vertex_normals(mesh).T)
     mesh._cache["H"] = H
     return H
 
@@ -376,14 +499,14 @@ def area(mesh: TriangleMesh) -> float:
 
 def signed_volume(mesh: TriangleMesh) -> float:
     """Enclosed volume, positive for outward-oriented meshes."""
-    p0, p1, p2 = _faces(mesh).corners
-    return float(np.einsum("ij,ij->i", p0, _cross(p1, p2)).sum() / 6.0)
+    p0, p1, p2 = (p.T for p in _faces(mesh).corners)
+    return float(_row_dots(p0, _row_cross(p1, p2)).sum() / 6.0)
 
 
 def min_edge_length(mesh: TriangleMesh) -> float:
     # the norms, not the square root of the least squared length, which
     # can differ in the last bit and so move auto_dt
-    return float(min(x.min() for x in _faces(mesh).lengths))
+    return float(_faces(mesh).lengths.min())
 
 
 def dirichlet_energy(mesh: TriangleMesh, u: np.ndarray) -> float:

@@ -59,27 +59,36 @@ def icosahedron():
 
 
 def subdivide(vertices: np.ndarray, faces: np.ndarray):
-    """One 4-to-1 split with new vertices projected to the unit sphere."""
-    verts = [p for p in vertices]
-    cache: dict[tuple[int, int], int] = {}
+    """One 4-to-1 split with new vertices projected to the unit sphere.
 
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        if key in cache:
-            return cache[key]
-        p = verts[a] + verts[b]
-        p = p / np.linalg.norm(p)
-        verts.append(p)
-        cache[key] = len(verts) - 1
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab = midpoint(a, b)
-        bc = midpoint(b, c)
-        ca = midpoint(c, a)
-        out.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    return np.asarray(verts), np.asarray(out, dtype=np.int64)
+    Face (a, b, c) becomes (a, ab, ca), (b, bc, ab), (c, ca, bc) and
+    (ab, bc, ca). The midpoint of each edge is numbered after the
+    vertices, in the order the edges first appear going through the
+    faces, each as (a, b), (b, c), (c, a).
+    """
+    n = len(vertices)
+    a, b = faces, np.roll(faces, -1, axis=1)
+    keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    mid = (n + rank[inverse]).reshape(-1, 3)
+    ends = np.sort(first)
+    p = vertices[a.ravel()[ends]] + vertices[b.ravel()[ends]]
+    # |p| through matmul's vector dot, which adds as np.linalg.norm(row)
+    # does; norm(p, axis=1) and einsum add in other orders
+    p /= np.sqrt((p[:, None, :] @ p[:, :, None]).ravel())[:, None]
+    ab, bc, ca = mid.T
+    out = np.stack(
+        [
+            np.stack([faces[:, 0], ab, ca], axis=1),
+            np.stack([faces[:, 1], bc, ab], axis=1),
+            np.stack([faces[:, 2], ca, bc], axis=1),
+            np.stack([ab, bc, ca], axis=1),
+        ],
+        axis=1,
+    )
+    return np.concatenate([vertices, p]), out.reshape(-1, 3)
 
 
 def icosphere(subdivisions: int, radius: float = 1.0) -> TriangleMesh:

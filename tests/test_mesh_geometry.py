@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from oracles import ellipsoid_curvatures, spherical_cap_area
-from triheat import diagnostics, mesh, shapes
+from triheat import diagnostics, flow, mesh, shapes
 from triheat.mesh import TriangleMesh
 
 AXES = (1.0, 1.0, 1.2)
@@ -45,6 +45,35 @@ def tetrahedron():
 # ---------------------------------------------------------------------------
 # mesh validity
 # ---------------------------------------------------------------------------
+
+
+def reference_subdivide(vertices, faces):
+    """The 4-to-1 split as a loop over the faces, numbering midpoints as met."""
+    verts = list(vertices)
+    cache = {}
+
+    def midpoint(a, b):
+        key = (a, b) if a < b else (b, a)
+        if key not in cache:
+            p = verts[a] + verts[b]
+            verts.append(p / np.linalg.norm(p))
+            cache[key] = len(verts) - 1
+        return cache[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+    return np.asarray(verts), np.asarray(out, dtype=np.int64)
+
+
+def test_subdivide_equals_the_loop_reference():
+    v, f = shapes.icosahedron()
+    for _ in range(5):
+        got_v, got_f = shapes.subdivide(v, f)
+        v, f = reference_subdivide(v, f)
+        assert np.array_equal(got_v, v)
+        assert np.array_equal(got_f, f) and got_f.dtype == f.dtype
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -240,6 +269,74 @@ def test_face_geometry_equals_the_norm_and_cross_reference(n, jitter):
     assert mesh.signed_volume(m) == volume
     assert np.array_equal(mesh.vertex_normals(m), reference_normals(m))
     assert mesh.min_edge_length(m) == reference_min_edge_length(m)
+
+
+def test_an_open_mesh_takes_the_bincount_path():
+    # one face gone: the slots along the hole get one term each
+    m = shapes.icosphere(2)
+    open_mesh = TriangleMesh(m.vertices, m.faces[1:])
+    assert mesh._topology(open_mesh).pairs is None
+    assert_operators_equal_the_reference(open_mesh)
+
+
+def test_topology_rejects_face_indices_out_of_range():
+    m = shapes.icosphere(1)
+    f = m.faces.copy()
+    f[3, 2] = m.n_vertices
+    with pytest.raises(ValueError, match="out of range"):
+        mesh.build_operators(TriangleMesh(m.vertices, f))
+
+
+@pytest.mark.parametrize("top", [50, 2**62], ids=["packed", "argsort"])
+def test_stable_argsort_equals_numpy(top):
+    keys = np.random.default_rng(5).integers(0, 50, size=1000)
+    order, srt = mesh._stable_argsort(keys, top)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert np.array_equal(srt, np.sort(keys))
+
+
+def reference_step(m, dt):
+    """One explicit step and its acceptance check, from the references."""
+    v, f = m.vertices, m.faces
+    W, M = reference_operators(m)
+    nrm = reference_normals(m)
+    H = -np.einsum("ij,ij->i", (W @ v) / M[:, None], nrm)
+    w2 = (W @ ((W @ H) / M)) / M
+    new = v + dt * (-w2[:, None] * nrm)
+    p0, p1, p2 = new[f[:, 0]], new[f[:, 1]], new[f[:, 2]]
+    ok = (
+        np.all(np.isfinite(new))
+        and np.linalg.norm(new - v, axis=1).max() <= 0.5 * reference_min_edge_length(m)
+        and np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1).min() > 0.0
+        and np.einsum("ij,ij->i", p0, np.cross(p1, p2)).sum() / 6.0 > 0.0
+    )
+    return new, ok
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["round", "jittered"])
+def test_a_step_equals_a_step_from_the_references(jitter):
+    m = shapes.icosphere(3)
+    if jitter:
+        rng = np.random.default_rng(7)
+        h = reference_min_edge_length(m)
+        m = TriangleMesh(m.vertices + 0.1 * h * rng.normal(size=m.vertices.shape), m.faces)
+    dt = flow.auto_dt(m)
+    new = flow.step_mesh(m, dt)
+    want, ok = reference_step(m, dt)
+    assert np.array_equal(new.vertices, want)
+    assert flow._mesh_step_ok(m, new) == ok
+
+
+def test_twenty_steps_equal_steps_from_the_references():
+    m = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)])
+    dt = flow.auto_dt(m)
+    ref = m
+    for _ in range(20):
+        new = flow.step_mesh(m, dt)
+        want, ok = reference_step(ref, dt)
+        assert np.array_equal(new.vertices, want)
+        assert ok and flow._mesh_step_ok(m, new)
+        m, ref = new, TriangleMesh(want, ref.faces)
 
 
 def test_a_mesh_on_other_faces_builds_its_own_topology():
