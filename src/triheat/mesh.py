@@ -158,8 +158,9 @@ class _Topology(NamedTuple):
     indptr: np.ndarray  # CSR pattern of W, diagonal included
     indices: np.ndarray
     # on a closed oriented manifold, the two terms of each off-diagonal
-    # slot as (2, off) indices into the 3F half-cotangents; else where
-    # each of the 6F terms lands in W.data
+    # slot as (2, off) indices into the 3F half-cotangents
+    # (:func:`_closed_slots`); else where each of the 6F terms lands in
+    # W.data (:func:`_any_slots`)
     pairs: np.ndarray | None
     slots: np.ndarray | None
     diag: np.ndarray  # where each row's diagonal lies in W.data
@@ -173,18 +174,78 @@ def _stable_argsort(keys: np.ndarray, top: int):
     """np.argsort(keys, kind="stable") of int64 keys in [0, top), and the
     sorted keys.
 
-    numpy sorts int64 values about 2.5x faster than it argsorts them, so
-    when key and index fit in one int64 together, the packed values are
-    sorted instead.
+    numpy sorts int64 values about 2.5x faster than it argsorts them, and
+    int32 values 2x faster again, so when key and index fit in one int32
+    or int64 together, the packed values are sorted instead.
     """
     shift = max(len(keys) - 1, 1).bit_length()
-    if max(top - 1, 1).bit_length() + shift > 62:
+    bits = max(top - 1, 1).bit_length() + shift
+    if bits > 62:
         order = np.argsort(keys, kind="stable")
         return order, np.take(keys, order)
-    packed = keys << shift
-    packed |= np.arange(len(keys))
+    packed = np.left_shift(keys, shift, dtype=np.int32 if bits <= 31 else np.int64)
+    packed |= np.arange(len(keys), dtype=packed.dtype)
     packed.sort()
-    return packed & ((1 << shift) - 1), packed >> shift
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return order, packed
+
+
+def _closed_slots(I, J, n: int):
+    """The slots of W and their terms when the half-edges close up, else None.
+
+    I -> J are the 3F half-edges of the faces, that of corner k of face f
+    at k * F + f, which carries that corner's half-cotangent. On a closed
+    oriented manifold every directed edge i -> j is the half-edge of one
+    face and j -> i that of one other, so the off-diagonal slots are the
+    half-edges, and the slot (i, j) gets the terms of i -> j and j -> i:
+    sorting the keys of the half-edges and of their reverses pairs them.
+    Returns the row and column of every slot of W in CSR order, and the
+    (2, 3F) pairs of terms of the off-diagonal slots.
+    """
+    fwd_order, fwd = _stable_argsort(I * n + J, n * n)
+    rev_order, rev = _stable_argsort(J * n + I, n * n)
+    if not np.array_equal(fwd, rev) or np.any(fwd[1:] == fwd[:-1]):
+        return None
+    r, c = np.take(I, fwd_order), np.take(J, fwd_order)
+    if np.any(r == c):
+        return None
+    # each row's diagonal goes after the columns below it
+    d = np.arange(n)
+    diag = np.searchsorted(fwd, d * (n + 1)) + d
+    is_off = np.ones(len(fwd) + n, dtype=bool)
+    is_off[diag] = False
+    rows, cols = np.empty(len(is_off), dtype=I.dtype), np.empty(len(is_off), dtype=I.dtype)
+    rows[is_off], cols[is_off] = r, c
+    rows[diag], cols[diag] = d, d
+    return rows, cols, np.stack([fwd_order, rev_order])
+
+
+def _any_slots(I, J, n: int):
+    """The slots of W on any mesh, and where each cotangent term lands.
+
+    Each half-edge i -> j of :func:`_closed_slots` gives one term to the
+    slot (i, j) and one to (j, i). Returns the row and column of every
+    slot in CSR order, and the slot of each of the 6F terms in the order
+    (i1, i2), (i2, i1), (i2, i0), (i0, i2), (i0, i1), (i1, i0), which
+    np.bincount adds them in.
+    """
+    d = np.arange(n)
+    I, J = np.concatenate([I, J, d]), np.concatenate([J, I, d])
+    keys = I * n
+    keys += J
+    # np.unique(keys, return_inverse=True) with less overhead: one sort,
+    # and a flag where each run of equal sorted keys starts
+    order, keys = _stable_argsort(keys, n * n)
+    run = np.empty(len(keys), dtype=bool)
+    run[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=run[1:])
+    at = np.take(order, np.flatnonzero(run))
+    slots = np.empty(len(order), dtype=np.intp)
+    slots[order] = np.cumsum(run) - 1
+    F = (len(order) - n) // 6
+    slots = slots[: 6 * F].reshape(6, F)[[0, 3, 1, 4, 2, 5]].reshape(-1)
+    return np.take(I, at), np.take(J, at), slots
 
 
 def _topology(mesh: TriangleMesh) -> _Topology:
@@ -202,46 +263,19 @@ def _topology(mesh: TriangleMesh) -> _Topology:
     ones = np.ones(3 * F)
     by_vertex = np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n))])
     i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
-    # term t of the 6F is half the cotangent of face t % F at corner
-    # (t % 3F) // F: the first 3F run i -> j round each face, the last 3F
-    # j -> i
-    I = np.concatenate([i1, i2, i0, i2, i0, i1])
-    J = np.concatenate([i2, i0, i1, i1, i2, i0])
-    d = np.arange(n)
-    # np.unique(keys, return_inverse=True) with less overhead: one sort,
-    # and a flag where each run of equal sorted keys starts
-    order, keys = _stable_argsort(np.concatenate([I * n + J, d * (n + 1)]), n * n)
-    run = np.empty(len(keys), dtype=bool)
-    run[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=run[1:])
-    first = np.flatnonzero(run)
-    keys = np.take(keys, first)
-    r, c = np.divmod(keys, n)
-    off = np.flatnonzero(r != c)
-    diag = np.searchsorted(keys, d * (n + 1))
-    # on a closed oriented manifold every off-diagonal slot (i, j) gets two
-    # terms: the face with the edge i -> j gives one of the first 3F, the
-    # face across one of the last 3F. So no term lands on the diagonal,
-    # and the sorted terms are the slots' pairs, in slot order, each the
-    # lower first
-    pairs = None
-    if 2 * len(off) == 6 * F and np.all(
-        np.take(np.diff(first, append=len(run)), off) == 2
-    ):
-        t = np.compress(order < 6 * F, order).reshape(-1, 2).T
-        if np.all(t[1] >= 3 * F):
-            t[1] -= 3 * F
-            pairs = np.ascontiguousarray(t)
-    slots = None
-    if pairs is None:
-        slots = np.empty(len(order), dtype=np.intp)
-        slots[order] = np.cumsum(run) - 1
-        # the terms in the order (i1, i2), (i2, i1), (i2, i0), (i0, i2),
-        # (i0, i1), (i1, i0), which bincount adds them in
-        slots = slots[: 6 * F].reshape(6, F)[[0, 3, 1, 4, 2, 5]].reshape(-1)
+    I, J = np.concatenate([i1, i2, i0]), np.concatenate([i2, i0, i1])
+    closed = _closed_slots(I, J, n)
+    if closed is None:
+        r, c, slots = _any_slots(I, J, n)
+        pairs = None
+    else:
+        r, c, pairs = closed
+        slots = None
+    on_diag = r == c
+    off = np.flatnonzero(~on_diag)
     # scipy picks the index dtype once, so filling W later copies nothing
     pattern = sp.csr_matrix(
-        (np.zeros(len(keys)), c, np.searchsorted(r, np.arange(n + 1))), shape=(n, n)
+        (np.zeros(len(r)), c, np.searchsorted(r, np.arange(n + 1))), shape=(n, n)
     )
     off_indptr = pattern.indptr - np.arange(n + 1)
     rows = np.flatnonzero(np.diff(off_indptr))
@@ -255,7 +289,7 @@ def _topology(mesh: TriangleMesh) -> _Topology:
         indices=pattern.indices,
         pairs=pairs,
         slots=slots,
-        diag=diag,
+        diag=np.flatnonzero(on_diag),
         off=off,
         rows=rows,
         starts=off_indptr[rows],

@@ -287,7 +287,7 @@ def test_topology_rejects_face_indices_out_of_range():
         mesh.build_operators(TriangleMesh(m.vertices, f))
 
 
-@pytest.mark.parametrize("top", [50, 2**62], ids=["packed", "argsort"])
+@pytest.mark.parametrize("top", [50, 2**40, 2**62], ids=["int32", "int64", "argsort"])
 def test_stable_argsort_equals_numpy(top):
     keys = np.random.default_rng(5).integers(0, 50, size=1000)
     order, srt = mesh._stable_argsort(keys, top)
