@@ -116,8 +116,8 @@ class Trajectory:
     the last valid state is kept as the final entry, and
     ``meta["stop_detail"]`` says at which time and why).
 
-    So a mesh that has stopped moving while every vertex stays clamped
-    can never stop as 'converged' and always runs to 't_end':
+    A mesh that has stopped moving while every vertex stays clamped can
+    therefore never stop as 'converged' and always runs to 't_end':
     ``run(shapes.icosphere(2), 1e-3)`` takes 454 steps there, with a
     stationarity residual sup |Delta^2 H| of 3.3e-11 at the end.
     """

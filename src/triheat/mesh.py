@@ -215,7 +215,8 @@ def _closed_slots(I, J, n: int):
     diag = np.searchsorted(fwd, d * (n + 1)) + d
     is_off = np.ones(len(fwd) + n, dtype=bool)
     is_off[diag] = False
-    rows, cols = np.empty(len(is_off), dtype=I.dtype), np.empty(len(is_off), dtype=I.dtype)
+    rows = np.empty(len(is_off), dtype=I.dtype)
+    cols = np.empty_like(rows)
     rows[is_off], cols[is_off] = r, c
     rows[diag], cols[diag] = d, d
     return rows, cols, np.stack([fwd_order, rev_order])
@@ -230,6 +231,7 @@ def _any_slots(I, J, n: int):
     (i1, i2), (i2, i1), (i2, i0), (i0, i2), (i0, i1), (i1, i0), which
     np.bincount adds them in.
     """
+    F = len(I) // 3
     d = np.arange(n)
     I, J = np.concatenate([I, J, d]), np.concatenate([J, I, d])
     keys = I * n
@@ -243,7 +245,6 @@ def _any_slots(I, J, n: int):
     at = np.take(order, np.flatnonzero(run))
     slots = np.empty(len(order), dtype=np.intp)
     slots[order] = np.cumsum(run) - 1
-    F = (len(order) - n) // 6
     slots = slots[: 6 * F].reshape(6, F)[[0, 3, 1, 4, 2, 5]].reshape(-1)
     return np.take(I, at), np.take(J, at), slots
 
@@ -264,13 +265,12 @@ def _topology(mesh: TriangleMesh) -> _Topology:
     by_vertex = np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n))])
     i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
     I, J = np.concatenate([i1, i2, i0]), np.concatenate([i2, i0, i1])
+    pairs = slots = None
     closed = _closed_slots(I, J, n)
     if closed is None:
         r, c, slots = _any_slots(I, J, n)
-        pairs = None
     else:
         r, c, pairs = closed
-        slots = None
     on_diag = r == c
     off = np.flatnonzero(~on_diag)
     # scipy picks the index dtype once, so filling W later copies nothing

@@ -70,24 +70,17 @@ def subdivide(vertices: np.ndarray, faces: np.ndarray):
     a, b = faces, np.roll(faces, -1, axis=1)
     keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    mid = (n + rank[inverse]).reshape(-1, 3)
-    ends = np.sort(first)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ends = first[order]
     p = vertices[a.ravel()[ends]] + vertices[b.ravel()[ends]]
     # |p| through matmul's vector dot, which adds as np.linalg.norm(row)
     # does; norm(p, axis=1) and einsum add in other orders
     p /= np.sqrt((p[:, None, :] @ p[:, :, None]).ravel())[:, None]
-    ab, bc, ca = mid.T
-    out = np.stack(
-        [
-            np.stack([faces[:, 0], ab, ca], axis=1),
-            np.stack([faces[:, 1], bc, ab], axis=1),
-            np.stack([faces[:, 2], ca, bc], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ],
-        axis=1,
-    )
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    f0, f1, f2 = faces.T
+    out = np.stack([f0, ab, ca, f1, bc, ab, f2, ca, bc, ab, bc, ca], axis=1)
     return np.concatenate([vertices, p]), out.reshape(-1, 3)
 
 
