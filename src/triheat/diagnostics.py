@@ -174,6 +174,10 @@ def _graph_rescaled(state: RadialGraphState, factor: float, center):
 
 def _mesh_rescaled(m: TriangleMesh, factor: float, center):
     x = np.zeros(3) if center is None else np.asarray(center, dtype=float)
+    # an (n, 3) center would broadcast per vertex, and a nan one poison a
+    # whole coordinate
+    if x.shape != (3,) or not np.all(np.isfinite(x)):
+        raise ValueError("mesh center must be a finite x, y, z point")
     return m._moved((m.vertices - x) / factor, m.time / factor**6)
 
 

@@ -18,15 +18,20 @@ of the vertices. They give the same bits as the (F, 3) expressions
 they replace by adding in the same order: norms add (x + y) + z, as
 np.linalg.norm(x, axis=1) does, and dot products (x + z) + y, as
 np.einsum("ij,ij->i", a, b) does on C-ordered arrays.
+
+scipy is imported where it is used, so only the mesh backend loads it:
+scipy.sparse in _topology and build_operators, which build the sparse
+matrices, and scipy.spatial in max_ball_sum, for the kd-tree.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "TriangleMesh",
@@ -108,18 +113,24 @@ class TriangleMesh:
         used[f.ravel()] = True
         if not used.all():
             raise ValueError(f"{int((~used).sum())} vertices are not referenced")
-        edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        keys = edges[:, 0] * len(v) + edges[:, 1]
-        uniq, counts = np.unique(keys, return_counts=True)
-        if counts.max(initial=1) > 1:
-            raise ValueError("directed edge repeats; mesh is not an oriented manifold")
-        # the keys are distinct, so the reversed keys are too: the two sets
-        # agree exactly when the sorted reversed keys equal uniq
-        rev = np.sort(edges[:, 1] * len(v) + edges[:, 0])
-        if not np.array_equal(rev, uniq):
-            raise ValueError("mesh has boundary or inconsistent orientation")
-        n_edges = len(uniq) // 2
-        euler = len(v) - n_edges + len(f)
+        # the topology pairs each directed edge with its reverse exactly
+        # when the edges are distinct and close up; only when they do not
+        # are the edge keys sorted again, to tell which check fails
+        topo = _topology(self)
+        if topo.pairs is None:
+            edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+            keys = edges[:, 0] * len(v) + edges[:, 1]
+            uniq, counts = np.unique(keys, return_counts=True)
+            if counts.max(initial=1) > 1:
+                raise ValueError(
+                    "directed edge repeats; mesh is not an oriented manifold"
+                )
+            # the keys are distinct, so the reversed keys are too: the two
+            # sets agree exactly when the sorted reversed keys equal uniq
+            rev = np.sort(edges[:, 1] * len(v) + edges[:, 0])
+            if not np.array_equal(rev, uniq):
+                raise ValueError("mesh has boundary or inconsistent orientation")
+        euler = len(v) - len(topo.edges) + len(f)
         if euler != 2:
             raise ValueError(f"Euler characteristic {euler}, expected 2 (sphere)")
         if _faces(self).dbl_areas.min() <= 0.0:
@@ -254,6 +265,8 @@ def _topology(mesh: TriangleMesh) -> _Topology:
     topo = mesh._topology
     if topo is not None and topo.faces is mesh.faces:
         return topo
+    import scipy.sparse as sp
+
     f, n = mesh.faces, mesh.n_vertices
     # the face geometry gathers without a range check
     if f.min(initial=0) < 0 or f.max(initial=-1) >= n:
@@ -405,6 +418,8 @@ def build_operators(mesh: TriangleMesh):
     """
     if "ops" in mesh._cache:
         return mesh._cache["ops"]
+    import scipy.sparse as sp
+
     n = mesh.n_vertices
     topo = _topology(mesh)
     geo = _faces(mesh)
@@ -627,6 +642,8 @@ def max_ball_sum(points, centers, density, radius: float, anchors=None) -> float
     hi = np.maximum(points.max(axis=0), centers.max(axis=0))
     if radius >= np.linalg.norm(hi - lo):
         return float(density.sum())
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     n = len(points)
     if np.array_equal(centers[:n], points):

@@ -460,6 +460,17 @@ def test_rescale_rejects_nan_factor(tmp_path, capsys):
     assert not dst.exists()
 
 
+def test_rescale_rejects_a_nan_mesh_center(tmp_path, capsys):
+    src = str(tmp_path / "m.obj")
+    dst = tmp_path / "o.obj"
+    mesh.save_obj(shapes.icosphere(1), src)
+    rc = main(["rescale", "--state", src, "--factor", "2",
+               "--center", "1,nan,0", "--out", str(dst)])
+    assert rc == 1
+    assert "finite x, y, z point" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 # ---------------------------------------------------------------------------
 # state file parsers under drawn input
 # ---------------------------------------------------------------------------

@@ -323,6 +323,24 @@ def test_rescale_rejects_off_center_graphs_and_bad_factor():
         flow.rescale(st, 0.0)
 
 
+@pytest.mark.parametrize(
+    "center",
+    [
+        (0.1, float("nan"), 0.0),
+        (float("inf"), 0.0, 0.0),
+        (0.1, 0.2),
+        "per-vertex",
+    ],
+    ids=["nan", "inf", "shape-2", "shape-n3"],
+)
+def test_rescale_mesh_rejects_a_center_that_is_no_finite_point(center):
+    m = shapes.icosphere(1)
+    if center == "per-vertex":
+        center = np.full((m.n_vertices, 3), 0.1)
+    with pytest.raises(ValueError, match="finite x, y, z point"):
+        flow.rescale(m, 2.0, center=center)
+
+
 def test_mesh_steps_equal_steps_on_meshes_built_afresh():
     m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1), (3, 1, 0.05)])
     dt = flow.auto_dt(m)
