@@ -329,16 +329,13 @@ def test_rescale_rejects_off_center_graphs_and_bad_factor():
         (0.1, float("nan"), 0.0),
         (float("inf"), 0.0, 0.0),
         (0.1, 0.2),
-        "per-vertex",
+        np.full((shapes.icosphere(1).n_vertices, 3), 0.1),
     ],
     ids=["nan", "inf", "shape-2", "shape-n3"],
 )
 def test_rescale_mesh_rejects_a_center_that_is_no_finite_point(center):
-    m = shapes.icosphere(1)
-    if center == "per-vertex":
-        center = np.full((m.n_vertices, 3), 0.1)
     with pytest.raises(ValueError, match="finite x, y, z point"):
-        flow.rescale(m, 2.0, center=center)
+        flow.rescale(shapes.icosphere(1), 2.0, center=center)
 
 
 def test_mesh_steps_equal_steps_on_meshes_built_afresh():
