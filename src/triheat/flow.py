@@ -12,6 +12,7 @@ with half the step until it fits or the step budget runs out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,8 +240,17 @@ def rescale(state, factor: float, center=None):
     Meshes may rescale about any center point; radial graphs only about
     the origin, which is the only choice preserving the graph chart.
     Area scales by factor^-2, volume by factor^-3, and the total
-    curvature energy int |A|^2 d mu is invariant.
+    curvature energy int |A|^2 d mu is invariant. A factor that is not
+    finite and positive, or whose sixth power overflows or underflows,
+    raises ValueError.
     """
-    if not factor > 0.0:
-        raise ValueError("factor must be positive")
+    try:
+        ok = factor > 0.0 and 0.0 < math.pow(factor, 6) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(
+            "factor must be positive, with a finite nonzero sixth power; "
+            f"got {factor!r}"
+        )
     return diagnostics._backend(state).rescaled(state, factor, center)

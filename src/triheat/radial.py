@@ -13,6 +13,14 @@ differentiation, and constants are removed from Laplacian inputs up
 front.  Without this the sixth-order operator chain amplifies rounding
 noise roughly like bandlimit^6; with it, round spheres sit in the kernel
 of every operator here to the last bit.
+
+Each state caches its fields on first use. A flow step reads only the
+metric part (``_geometry``): rho, its sphere gradient and Hessian,
+lap_rho, Phi, sqrt(Phi) and the area density, which the quotient-route
+mean curvature and the divergence-form Laplacian are built from. The
+inverse metric and the shape operator (H, K, |A|^2, |A*|^2) wait for a
+record: ``curvature_bundle`` and ``gradient_norm_sq`` add them to the
+cache through ``_shape``.
 """
 
 from __future__ import annotations
@@ -151,17 +159,54 @@ class CurvatureBundle:
 
 
 def _geometry(state: RadialGraphState) -> dict:
+    """The metric fields of a state, cached in ``state._geo``.
+
+    These are what a flow step reads: rho with its sphere gradient and
+    round-sphere Hessian, lap_rho, the graph factor Phi, sqrt(Phi) and
+    the area density J = rho sqrt(Phi). The shape operator waits for a
+    record (see ``_shape``).
+    """
     if state._geo is not None:
         return state._geo
     tr = transform_for(state.grid)
     c = state.coeffs
     rho = state.values
-    r_t, r_p, h_tt, h_tp, h_pp = tr.derivative_values(c)
-    lap_rho = tr.synthesize(tr.laplacian_coeffs(c))
+    r_t, r_p, h_tt, h_tp, h_pp, lap_rho = tr.derivative_values(
+        c, tr.laplacian_coeffs(c)
+    )
     S = tr.sin_t[:, None]
-    S2 = S * S
     Phi = rho * rho + r_t * r_t + (r_p / S) ** 2
     sqPhi = np.sqrt(Phi)
+    state._geo = {
+        "rho": rho,
+        "r_t": r_t,
+        "r_p": r_p,
+        "h_tt": h_tt,
+        "h_tp": h_tp,
+        "h_pp": h_pp,
+        "lap_rho": lap_rho,
+        "Phi": Phi,
+        "sqPhi": sqPhi,
+        "J": rho * sqPhi,
+    }
+    return state._geo
+
+
+def _shape(state: RadialGraphState) -> dict:
+    """The metric fields plus the inverse metric and the shape operator.
+
+    Adds g^{ij}, H, K, |A|^2 and |A*|^2 to ``state._geo`` on first use;
+    records read them, steps do not.
+    """
+    geo = _geometry(state)
+    if "H" in geo:
+        return geo
+    tr = transform_for(state.grid)
+    rho, r_t, r_p = geo["rho"], geo["r_t"], geo["r_p"]
+    h_tt, h_tp, h_pp = geo["h_tt"], geo["h_tp"], geo["h_pp"]
+    Phi, sqPhi = geo["Phi"], geo["sqPhi"]
+    S = tr.sin_t[:, None]
+    S2 = S * S
 
     A_tt = -(rho * h_tt - 2.0 * r_t * r_t - rho * rho) / sqPhi
     A_tp = -(rho * h_tp - 2.0 * r_t * r_p) / sqPhi
@@ -197,26 +242,15 @@ def _geometry(state: RadialGraphState) -> dict:
     Wopp = gi_tp * Ao_tp + gi_pp * Ao_pp
     normAo2 = Wott * Wott + 2.0 * Wotp * Wopt + Wopp * Wopp
 
-    geo = {
-        "rho": rho,
-        "r_t": r_t,
-        "r_p": r_p,
-        "h_tt": h_tt,
-        "h_tp": h_tp,
-        "h_pp": h_pp,
-        "lap_rho": lap_rho,
-        "Phi": Phi,
-        "sqPhi": sqPhi,
-        "gi_tt": gi_tt,
-        "gi_tp": gi_tp,
-        "gi_pp": gi_pp,
-        "H": H,
-        "K": K,
-        "normA2": normA2,
-        "normAo2": normAo2,
-        "J": rho * sqPhi,
-    }
-    state._geo = geo
+    geo.update(
+        gi_tt=gi_tt,
+        gi_tp=gi_tp,
+        gi_pp=gi_pp,
+        H=H,
+        K=K,
+        normA2=normA2,
+        normAo2=normAo2,
+    )
     return geo
 
 
@@ -227,7 +261,7 @@ def phi_factor(state: RadialGraphState) -> np.ndarray:
 
 def curvature_bundle(state: RadialGraphState) -> CurvatureBundle:
     """All pointwise curvature fields of the graph, from the shape operator."""
-    geo = _geometry(state)
+    geo = _shape(state)
     return CurvatureBundle(
         mean=geo["H"],
         gauss=geo["K"],
@@ -293,8 +327,7 @@ def _lap_from_coeffs(state: RadialGraphState, coeffs: np.ndarray) -> np.ndarray:
 
     cu = np.array(coeffs, dtype=float)
     cu[0, L] = 0.0  # constants lie in the kernel; enforce that exactly
-    u_t, u_p = tr.gradient_values(cu)
-    lap_u = tr.synthesize(tr.laplacian_coeffs(cu))
+    u_t, u_p, lap_u = tr.gradient_values(cu, tr.laplacian_coeffs(cu))
 
     if "a" not in geo:  # sqrt(Phi)/rho and its gradient, the same on every call
         a = geo["sqPhi"] / geo["rho"]
@@ -381,7 +414,7 @@ def gradient_norm_sq(state: RadialGraphState, coeffs) -> np.ndarray:
     """Pointwise |grad u|^2 in the induced metric, g^{ij} d_i u d_j u."""
     L = state.grid.bandlimit
     _check_coeffs(coeffs, L)
-    geo = _geometry(state)
+    geo = _shape(state)
     tr = transform_for(state.grid)
     cu = np.array(coeffs, dtype=float)
     cu[0, L] = 0.0
@@ -445,14 +478,6 @@ def concentration(state: RadialGraphState, radius: float) -> float:
     if radius >= np.linalg.norm(xyz.max(axis=1) - xyz.min(axis=1)):
         return float(density.sum())
     return _RingBalls(state.grid, state.values, pts, density, radius).max()[0]
-
-
-def _ring_ball_sums(grid: GridSpec, rho, pts, density, radius: float) -> np.ndarray:
-    """Sum of density over the ball of the radius about every grid node."""
-    balls = _RingBalls(grid, rho, pts, density, radius)
-    step = _RING_BLOCK * grid.nlon
-    nodes = np.arange(rho.size)
-    return np.concatenate([balls.settle(nodes[a : a + step]) for a in nodes[::step]])
 
 
 class _RingBalls:

@@ -21,12 +21,14 @@ longitudinal transform is an FFT.
 Synthesis sums the coefficients against Legendre tables to get the
 row-wise rfft spectrum, then inverts the FFT.  The Gauss-Legendre nodes
 are symmetric about the equator, so the tables hold only the northern
-rows, split by the parity of l - m; all orders are summed in one batched
-product per parity, on real arithmetic (see _Transform).  A
-phi-derivative multiplies mode m by i m, so u_phi, u_theta-phi and
-u_phi-phi reuse the spectra of u and u_theta instead of needing sums of
-their own.  One Legendre recurrence, run one order at a time, builds the
-grid tables and serves evaluation at scattered points.
+rows, split by the parity of l - m, with order m and order L - m sharing
+one block of columns; all orders are summed in one batched product per
+parity, on real arithmetic (see _Transform), for one field or for two
+whose values are wanted together.  A phi-derivative multiplies mode m
+by i m, so u_phi, u_theta-phi and u_phi-phi reuse the spectra of u and
+u_theta instead of needing sums of their own.  One Legendre recurrence,
+run one order at a time, builds the grid tables and serves evaluation
+at scattered points.
 
 One transform per grid, from :func:`transform_for`, takes arrays in and
 gives arrays out; it rejects values that are not (nlat, nlon) and
@@ -52,7 +54,7 @@ __all__ = [
 FLOAT_FMT = "%.17g"
 
 # Highest degree a coefficient file may name. The transform tables grow
-# as L^3 and take about 20 GB at L = 1024, so a file naming a higher
+# as L^3 and take about 10 GB at L = 1024, so a file naming a higher
 # degree is refused before any array is sized from it.
 MAX_FILE_DEGREE = 1024
 
@@ -165,13 +167,22 @@ class _Transform:
     The Gauss-Legendre nodes come in exact mirror pairs, x[nlat-1-i] ==
     -x[i], and Q_l^m(-x) = (-1)^(l-m) Q_l^m(x), so the tables keep only the
     h = ceil(nlat / 2) northern rows, the equator included when nlat is
-    odd.  Their columns are split by the parity of l - m and zero-padded
-    over the orders: ``_even[k, m, :, j]`` holds table k (Q, dQ, d2Q) at
-    degree l = m + 2j, ``_odd[k, m, :, j]`` at l = m + 1 + 2j.  A
-    Legendre sum is then one batched product over all orders per parity,
-    E for the even and O for the odd degrees; the northern rows are
-    E + O and their southern mirrors E - O, negated for the
-    theta-derivative dQ, which is odd under the reflection.
+    odd.  Their columns are split by the parity of l - m, E for the even
+    and O for the odd degrees; the northern rows are E + O and their
+    southern mirrors E - O, negated for the theta-derivative dQ, which is
+    odd under the reflection.
+
+    Order m has about (L - m) / 2 degrees of each parity, so block p of
+    a table pairs order p with order L - p: ``_even[k, p]`` holds table
+    k (Q, dQ, d2Q) on the northern rows, its first columns at the even
+    degrees l = p, p + 2, ... and the next ones at l = L - p, L - p + 2,
+    ...; ``_odd`` starts each run one degree higher.  There are
+    L // 2 + 1 blocks, and when L is even order L / 2 pairs with itself
+    and fills only the first run.  A Legendre sum is one batched product
+    per parity, whose right-hand side has a (cos, sin) column pair per
+    order of the block and per coefficient set, zero in the rows of the
+    other order; rows of the sums land in the rfft spectra at m = p and
+    m = L - p.
     """
 
     def __init__(self, grid: GridSpec):
@@ -186,44 +197,84 @@ class _Transform:
         self.grid = grid
         self.area_weights = (2.0 * np.pi / grid.nlon) * self.w  # per-row dsigma weight
         self._m = np.arange(grid.nlon // 2 + 1)
+        self._im = 1j * self._m
 
         h = (grid.nlat + 1) // 2
-        self._even = np.zeros((3, L + 1, h, L // 2 + 1))
-        self._odd = np.zeros((3, L + 1, h, (L + 1) // 2))
-        for k, table in enumerate(_alf_tables(L, self.x[:h])):
-            for m, t in enumerate(table):
-                self._even[k, m, :, : (L - m) // 2 + 1] = t[:, 0::2]
-                self._odd[k, m, :, : (L - m + 1) // 2] = t[:, 1::2]
-        # flat positions in coeffs of the (cos, sin) pair of each entry;
-        # padding and the m = 0 sine point at one zero slot past the end
-        zero = (L + 1) * (2 * L + 1)
-        m = np.arange(L + 1)[:, None, None]
-        sign = np.array([1, -1])
-        self._take = []
-        for parity, tables in enumerate((self._even, self._odd)):
-            l = m + parity + 2 * np.arange(tables.shape[3])[:, None]
-            take = l * (2 * L + 1) + L + sign * m
-            take[(l > L) | ((m == 0) & (sign < 0))] = zero
-            self._take.append(take)
-
-        def by_pair(fac, width):
-            """fac[m] * (1, -1) for each of width entries of order m; stored
-            full size, as a broadcast over the trailing pair runs slowly."""
-            return np.repeat(np.stack([fac, -fac], axis=1)[:, None, :], width, axis=1)
-
+        P = L // 2 + 1
+        # the orders of each block's two runs; -1 where block L / 2 has no second
+        pairs = np.stack([np.arange(P), L - np.arange(P)], axis=1)
+        pairs[pairs[:, 1] == pairs[:, 0], 1] = -1
         root2 = np.sqrt(2.0)
-        # synthesis turns (cos, sin) sums into (re, im) of the rfft spectrum
-        fac = np.full(L + 1, (grid.nlon / 2.0) * root2)
-        fac[0] = grid.nlon
-        self._north_scale = by_pair(fac, h)
-        # the south rows are E - O for Q and d2Q and O - E for dQ
-        self._south_scale = np.array([1.0, -1.0, 1.0])[:, None, None, None] * (
-            self._north_scale
-        )
+        # synthesis turns (cos, sin) sums into (re, im) of the rfft spectrum,
         # analysis turns (re, im) projections into (cos, sin) coefficients
-        fac = np.full(L + 1, root2 * (2.0 * np.pi / grid.nlon))
-        fac[0] = 2.0 * np.pi / grid.nlon
-        self._analysis_scale = [by_pair(fac, take.shape[1]) for take in self._take]
+        synthesis = np.full(L + 1, (grid.nlon / 2.0) * root2)
+        synthesis[0] = grid.nlon
+        analysis = np.full(L + 1, root2 * (2.0 * np.pi / grid.nlon))
+        analysis[0] = 2.0 * np.pi / grid.nlon
+
+        n_coeffs = (L + 1) * (2 * L + 1)
+        alf = _alf_tables(L, self.x[:h])
+        paired, takes = [], []
+        for par in (0, 1):
+            # degrees l = m + par, m + par + 2, ... <= L of each run, first
+            # run then second run along the columns j of block p
+            count = np.where(pairs < 0, 0, (L - pairs - par) // 2 + 1)
+            table = np.zeros((3, P, h, count.sum(axis=1).max()))
+            for k, t in enumerate(alf):
+                runs = zip(pairs.tolist(), count.tolist())
+                for p, ((m, n), (c, d)) in enumerate(runs):
+                    table[k, p, :, :c] = t[m][:, par::2]
+                    if n >= 0:
+                        table[k, p, :, c : c + d] = t[n][:, par::2]
+            paired.append(table)
+            # flat positions in coeffs of the (cos, sin) pair of each entry,
+            # in columns (set, run, cos/sin) for two stacked sets, of which
+            # one set reads the first; padding, the other run's rows and
+            # the m = 0 sine point at a zero slot past the end of the sets
+            j = np.arange(table.shape[3])
+            first = count[:, :1]
+            run = (j >= first).astype(int)
+            m = pairs[np.arange(P)[:, None], run]
+            l = m + par + 2 * np.where(run, j - first, j)
+            p_at, j_at = np.nonzero((m >= 0) & (l <= L))
+            m, l, run = m[p_at, j_at], l[p_at, j_at], run[p_at, j_at]
+            start = np.array([0, n_coeffs])  # of each set in the flat array
+            take = np.full((P, len(j), 2, 2, 2), -1)
+            take[p_at, j_at, :, run, 0] = (l * (2 * L + 1) + L + m)[:, None] + start
+            sine = m > 0
+            take[p_at[sine], j_at[sine], :, run[sine], 1] = (
+                l * (2 * L + 1) + L - m
+            )[sine, None] + start
+            takes.append(take)
+        self._even, self._odd = paired
+        self._take = {
+            k: [np.ascontiguousarray(t[:, :, :k]).reshape(P, -1, 4 * k) for t in takes]
+            for k in (1, 2)
+        }
+        # full size, as a broadcast over the trailing columns runs slowly
+        fac = synthesis[np.maximum(pairs, 0)][:, None, None, :, None]
+        north = np.broadcast_to(fac * np.array([1.0, -1.0]), (P, h, 2, 2, 2))
+        self._north_scale = {
+            k: np.ascontiguousarray(north[:, :, :k]).reshape(P, h, 4 * k)
+            for k in (1, 2)
+        }
+        # the south rows are E - O for Q and d2Q and O - E for dQ
+        sign = np.array([1.0, -1.0, 1.0])[:, None, None, None]
+        self._south_scale = {k: sign * v for k, v in self._north_scale.items()}
+        # analysis reads the folded (re, im) rows of both orders of a block
+        # (block L / 2 twice), parity by parity, from a (2, h, L + 1) array
+        order = np.where(pairs < 0, pairs[:, :1], pairs)[None, :, None, :, None]
+        row = np.arange(2)[:, None, None, None, None] * h + np.arange(h)[:, None, None]
+        self._fold_take = ((row * (L + 1) + order) * 2 + np.arange(2)).reshape(
+            2, P, h, 4
+        )
+        fac = analysis[np.maximum(pairs, 0)][:, None, :, None]
+        self._analysis_scale = [
+            np.broadcast_to(fac * np.array([1.0, -1.0]), (P, t.shape[1], 2, 2))
+            .reshape(P, -1, 4)
+            .copy()
+            for t in self._take[1]
+        ]
 
     # -- core transforms -------------------------------------------------
 
@@ -234,39 +285,76 @@ class _Transform:
         _check_values(values, g)
         L = g.bandlimit
         h = self._even.shape[2]
-        # weighted row spectra, one order per row
-        F = (np.fft.rfft(values, axis=1)[:, : L + 1] * self.w[:, None]).T
-        # fold each south row onto its northern mirror; an odd grid's
+        # weighted row spectra, one row per node
+        F = np.fft.rfft(values, axis=1)[:, : L + 1] * self.w[:, None]
+        # fold each south row onto its northern mirror, as the sum for the
+        # even and the difference for the odd degrees; an odd grid's
         # equator row has no mirror and counts once
-        sym = F[:, :h].copy()
-        anti = sym.copy()
-        mirror = F[:, : h - 1 : -1]
-        sym[:, : g.nlat - h] += mirror
-        anti[:, : g.nlat - h] -= mirror
+        folded = np.empty((2, h, L + 1), dtype=complex)
+        folded[:] = F[:h]
+        mirror = F[: h - 1 : -1]
+        folded[0, : g.nlat - h] += mirror
+        folded[1, : g.nlat - h] -= mirror
+        # (re, im) of the two orders of each block, as the tables pair them
+        sym, anti = folded.view(float).ravel()[self._fold_take]
         flat = np.zeros((L + 1) * (2 * L + 1) + 1)
+        tables = (self._even[0], self._odd[0])
         for table, take, scale, rows in zip(
-            (self._even[0], self._odd[0]), self._take, self._analysis_scale, (sym, anti)
+            tables, self._take[1], self._analysis_scale, (sym, anti)
         ):
-            proj = table.transpose(0, 2, 1) @ rows.view(float).reshape(L + 1, h, 2)
+            proj = table.transpose(0, 2, 1) @ rows
             flat[take] = scale * proj
         return flat[:-1].reshape(L + 1, 2 * L + 1)
 
-    def _spectra(self, coeffs: np.ndarray, tables: int) -> np.ndarray:
-        """Row-wise rfft spectra of coeffs against the first `tables` of Q, dQ, d2Q."""
+    def _spectra(self, coeffs, tables: int, out=None, slots=None) -> np.ndarray:
+        """Row-wise rfft spectra against the first `tables` of Q, dQ, d2Q.
+
+        coeffs is one coefficient array or a tuple of two, summed in one
+        product.  Set s against table t goes to out[slots[t, s]], by
+        default a new (tables * sets, nlat, nlon // 2 + 1) array in the
+        order (t, s); entries above the bandlimit are left as out has them.
+        """
         g = self.grid
         L = g.bandlimit
-        _check_coeffs(coeffs, L)
-        h = self._even.shape[2]
-        flat = np.append(coeffs, 0.0)
-        E = self._even[:tables] @ flat[self._take[0]]
-        O = self._odd[:tables] @ flat[self._take[1]]
-        # (cos, sin) sums to complex spectrum entries, one order per row
-        north = ((E + O) * self._north_scale).view(complex)[..., 0]
-        south = ((E - O) * self._south_scale[:tables]).view(complex)[..., 0]
-        S = np.zeros((tables, g.nlat, g.nlon // 2 + 1), dtype=complex)
-        S[:, :h, : L + 1] = north.transpose(0, 2, 1)
-        S[:, h:, : L + 1] = south[:, :, g.nlat - h - 1 :: -1].transpose(0, 2, 1)
-        return S
+        sets = coeffs if isinstance(coeffs, tuple) else (coeffs,)
+        k = len(sets)
+        P, h = self._even.shape[1:3]
+        if out is None:
+            out = np.zeros((tables * k, g.nlat, g.nlon // 2 + 1), dtype=complex)
+            slots = np.arange(tables * k).reshape(tables, k)
+        flat = np.empty(k * (L + 1) * (2 * L + 1) + 1)
+        for dst, c in zip(flat[:-1].reshape(k, L + 1, 2 * L + 1), sets):
+            _check_coeffs(c, L)
+            dst[:] = c
+        flat[-1] = 0.0
+        take_even, take_odd = self._take[k]
+        E = self._even[:tables] @ flat[take_even]
+        O = self._odd[:tables] @ flat[take_odd]
+        # (cos, sin) sums to complex spectrum entries, columns (set, run)
+        north = E + O
+        north *= self._north_scale[k]
+        E -= O
+        E *= self._south_scale[k][:tables]
+        north = north.view(complex).reshape(tables, P, h, k, 2)
+        south = E.view(complex).reshape(tables, P, h, k, 2)[:, :, g.nlat - h - 1 :: -1]
+        # first runs go to columns m = p, second runs to m = L - p, which
+        # is faster written in increasing m
+        out[slots, :h, :P] = north[..., 0].transpose(0, 3, 2, 1)
+        out[slots, :h, P : L + 1] = north[:, L - P :: -1, :, :, 1].transpose(0, 3, 2, 1)
+        out[slots, h:, :P] = south[..., 0].transpose(0, 3, 2, 1)
+        out[slots, h:, P : L + 1] = south[:, L - P :: -1, :, :, 1].transpose(0, 3, 2, 1)
+        return out
+
+    def _fields(self, coeffs, extra, tables: int, slots) -> np.ndarray:
+        """A spectra buffer holding coeffs against the first `tables` tables
+        at slots[:, 0] and, if given, extra at slots[:, 1]; the derived
+        spectra go into the free slots, and extra's derivatives are scratch."""
+        g = self.grid
+        sets = (coeffs,) if extra is None else (coeffs, extra)
+        slots = slots[:, : len(sets)]
+        S = np.empty((slots.max() + 1, g.nlat, g.nlon // 2 + 1), dtype=complex)
+        S[:, :, g.bandlimit + 1 :] = 0.0
+        return self._spectra(sets, tables, S, slots)
 
     def _values(self, spectra: np.ndarray) -> np.ndarray:
         """Grid values of row-wise rfft spectra, several fields in one call."""
@@ -291,33 +379,47 @@ class _Transform:
             out = eig[:, None] * out
         return out
 
-    def gradient_values(self, coeffs: np.ndarray):
-        """(d/dtheta u, d/dphi u) on the grid."""
-        S, S_t = self._spectra(coeffs, 2)
-        u_t, u_p = self._values(np.stack([S_t, 1j * self._m * S]))
-        return u_t, u_p
+    def gradient_values(self, coeffs: np.ndarray, extra=None):
+        """(d/dtheta u, d/dphi u) on the grid.
 
-    def derivative_values(self, coeffs: np.ndarray):
+        With extra coefficients, their grid values follow, from the same
+        Legendre sums.
+        """
+        # u_t, u_p, extra; u_p starts as the spectrum of u
+        S = self._fields(coeffs, extra, 2, _GRADIENT_SLOTS)
+        np.multiply(self._im, S[1], out=S[1])
+        return tuple(self._values(S[: 2 if extra is None else 3]))
+
+    def derivative_values(self, coeffs: np.ndarray, extra=None):
         """Gradient and covariant Hessian (round metric) on the grid.
 
         Returns (d/dtheta u, d/dphi u, theta-theta, theta-phi, phi-phi)
         from three Legendre sums: d/dphi multiplies longitude mode m by i m.
+        With extra coefficients, their grid values follow, from the same
+        Legendre sums.
         """
-        S, S_t, S_tt = self._spectra(coeffs, 3)
-        im = 1j * self._m
-        u_t, u_p, h_tt, h_tp, h_pp = self._values(
-            np.stack([S_t, im * S, S_tt, im * S_t, -(self._m**2) * S])
-        )
+        # u_t, u_p, h_tt, h_tp, h_pp, extra; h_pp starts as the spectrum of u
+        S = self._fields(coeffs, extra, 3, _DERIVATIVE_SLOTS)
+        np.multiply(self._im, S[4], out=S[1])
+        np.multiply(self._im, S[0], out=S[3])
+        np.multiply(-(self._m**2), S[4], out=S[4])
+        u_t, u_p, h_tt, h_tp, h_pp, *rest = self._values(S[: 5 if extra is None else 6])
         s = self.sin_t[:, None]
         x = self.x[:, None]
         h_tp -= (x / s) * u_p
         h_pp += s * x * u_t
-        return u_t, u_p, h_tt, h_tp, h_pp
+        return (u_t, u_p, h_tt, h_tp, h_pp, *rest)
 
     def quadrature(self, values: np.ndarray) -> float:
         """Integral of grid values over the unit sphere (dsigma measure)."""
         _check_values(values, self.grid)
         return float(self.area_weights @ values.sum(axis=1))
+
+
+# where _spectra puts set s against table t, slots[t, s], for the fields of
+# gradient_values and derivative_values; slots past the fields are scratch
+_GRADIENT_SLOTS = np.array([[1, 2], [0, 3]])
+_DERIVATIVE_SLOTS = np.array([[4, 5], [0, 6], [2, 7]])
 
 
 @lru_cache(maxsize=16)

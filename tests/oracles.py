@@ -4,6 +4,9 @@ Everything here is computed from closed forms or from scipy, never from
 the package under test, so agreement is evidence rather than tautology.
 The per-order transform loops take their Legendre tables from the
 caller and check only how the sums over degrees and orders are taken.
+The one exception, ``ring_ball_sums``, runs the package's exact
+ring-window kernel over every node, the exhaustive side that the
+concentration tests hold its bounds and its maximum against.
 """
 
 import numpy as np
@@ -101,3 +104,17 @@ def derivative_values_by_order(tables, x, coeffs, nlon):
     h_tp = values(im * S_t) - (x / s) * u_p
     h_pp = values(im * im * S) + s * x * u_t
     return u_t, u_p, values(S_tt), h_tp, h_pp
+
+
+def ring_ball_sums(grid, rho, pts, density, radius):
+    """Sum of density over the ball of the radius about every grid node.
+
+    Settles every node with ``radial._RingBalls``, a chunk of rings at a
+    time; a node's sum does not depend on which nodes share its chunk.
+    """
+    from triheat import radial
+
+    balls = radial._RingBalls(grid, rho, pts, density, radius)
+    step = radial._RING_BLOCK * grid.nlon
+    nodes = np.arange(rho.size)
+    return np.concatenate([balls.settle(nodes[a : a + step]) for a in nodes[::step]])

@@ -460,6 +460,22 @@ def test_rescale_rejects_nan_factor(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("factor", ["inf", "1e-60", "1e60"])
+@pytest.mark.parametrize("suffix", [".obj", ".csv"])
+def test_rescale_rejects_a_factor_out_of_range(tmp_path, capsys, factor, suffix):
+    src = str(tmp_path / f"s{suffix}")
+    dst = tmp_path / f"o{suffix}"
+    if suffix == ".obj":
+        mesh.save_obj(shapes.icosphere(1), src)
+    else:
+        spherical.write_coeffs_csv(shapes.generate("sphere", "spectral").coeffs, src)
+    assert main(["rescale", "--state", src, "--factor", factor, "--out", str(dst)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: factor must be positive")
+    assert "Traceback" not in err
+    assert not dst.exists()
+
+
 def test_rescale_rejects_a_nan_mesh_center(tmp_path, capsys):
     src = str(tmp_path / "m.obj")
     dst = tmp_path / "o.obj"

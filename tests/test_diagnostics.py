@@ -13,8 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
+from scipy.special import roots_legendre
 
-from oracles import ellipsoid_curvatures, spherical_cap_area
+from oracles import (
+    ellipsoid_curvatures,
+    real_harmonic,
+    ring_ball_sums,
+    spherical_cap_area,
+)
 from triheat import diagnostics, flow, mesh, radial, shapes
 from triheat.radial import RadialGraphState
 from triheat.spherical import GridSpec, transform_for
@@ -139,6 +146,38 @@ def test_spectral_energies_skip_the_laplacian_chain(monkeypatch):
         "willmore": rec.willmore,
         "ao2": rec.ao2,
     }
+
+
+# the shape operator is computed on first use, after whatever a step left
+# in the state's cache; L=13 has nlat = 21, which puts a row on the equator
+ON_DEMAND_GRIDS = pytest.mark.parametrize(
+    "grid", [GRID, GridSpec.for_bandlimit(13)], ids=["L16", "L13-nlat21"]
+)
+ON_DEMAND_MODES = [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]
+
+
+@ON_DEMAND_GRIDS
+def test_a_record_after_a_step_equals_the_record_of_a_fresh_copy(grid):
+    st = shapes.perturbed_sphere_state(grid, 1.0, ON_DEMAND_MODES)
+    flow.step_spectral(st, 1e-5)
+    rec = diagnostics.compute_record(st)
+    fresh = diagnostics.compute_record(RadialGraphState(grid, coeffs=st.coeffs.copy()))
+    for field in dataclasses.fields(rec):
+        assert getattr(rec, field.name) == getattr(fresh, field.name), field.name
+
+
+@ON_DEMAND_GRIDS
+def test_curvature_fields_do_not_depend_on_the_chain_running_first(grid):
+    first = shapes.perturbed_sphere_state(grid, 1.0, ON_DEMAND_MODES)
+    before = radial.curvature_bundle(first)
+    radial.laplacian_chain(first)
+    second = shapes.perturbed_sphere_state(grid, 1.0, ON_DEMAND_MODES)
+    radial.laplacian_chain(second)
+    after = radial.curvature_bundle(second)
+    for field in dataclasses.fields(before):
+        assert np.array_equal(
+            getattr(before, field.name), getattr(after, field.name)
+        ), field.name
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +433,7 @@ def test_ring_ball_sums_equal_a_dense_double_loop(drawn):
     rho = scale * (1.0 + amplitude * rng.uniform(-1.0, 1.0, (grid.nlat, grid.nlon)))
     pts = grid_points(grid, rho)
     density = rng.normal(size=rho.size)
-    got = radial._ring_ball_sums(grid, rho, pts, density, radius)
+    got = ring_ball_sums(grid, rho, pts, density, radius)
     want = dense_ball_sums(pts, density, radius)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(density).sum()
 
@@ -426,7 +465,7 @@ def test_spectral_concentration_at_l128_matches_the_tree():
     )
     pts, wts = radial.node_cloud(st)
     density = radial.curvature_bundle(st).norm_a_sq.ravel() * wts
-    sums = radial._ring_ball_sums(st.grid, st.values, pts, density, 0.25)
+    sums = ring_ball_sums(st.grid, st.values, pts, density, 0.25)
     alpha = radial.concentration(st, 0.25)
     assert alpha == sums.max()
     # the tree's self-join would list ~7e7 pairs here, so it joins the 200
@@ -451,7 +490,7 @@ def test_ring_bounds_hold_and_the_settled_max_is_exact(drawn):
     # signed, so a bound that summed the density itself would fail
     density = rng.normal(size=rho.size)
     balls = radial._RingBalls(grid, rho, pts, density, radius)
-    sums = radial._ring_ball_sums(grid, rho, pts, density, radius)
+    sums = ring_ball_sums(grid, rho, pts, density, radius)
     assert np.all(sums <= balls.bounds() + balls.slack)
     best, settled = balls.max()
     assert best == sums.max()
@@ -468,6 +507,69 @@ def test_ring_bounds_leave_few_centers_to_settle_at_l64(modes):
     best, settled = radial._RingBalls(st.grid, st.values, pts, density, 0.25).max()
     assert best == radial.concentration(st, 0.25)
     assert settled < 0.1 * pts.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# invariance of spectral records under rotations of the surface
+# ---------------------------------------------------------------------------
+
+ROTATION_MODES = ((2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01))
+# relative agreement of the integrals; aoInf, gapResidual and alpha are
+# sampled at the grid nodes, which a rotation moves across the surface
+ROTATION_TOLERANCES = {
+    "area": 1e-14,
+    "volume": 1e-14,
+    "willmore": 1e-14,
+    "int_gauss": 1e-14,
+    "ao2": 5e-14,
+    "dh2": 1e-12,
+    "grad_dh2": 1e-12,
+}
+
+
+def rotated_modes(modes, rotation):
+    """The modes of the function f(rotation^-1 p), degree by degree.
+
+    A rotation keeps each degree, so projecting the rotated function on
+    the harmonics of the modes' degrees with a Gauss-Legendre quadrature
+    exact to twice the top degree gives its coefficients.
+    """
+    x, w = roots_legendre(12)
+    nlon = 24
+    theta = np.arccos(x)[:, None] * np.ones(nlon)
+    phi = 2.0 * np.pi * np.arange(nlon) / nlon * np.ones((len(x), 1))
+    weights = (w * 2.0 * np.pi / nlon)[:, None] * np.ones(nlon)
+    st = np.sin(theta)
+    pts = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    back = rotation.inv().apply(pts.reshape(-1, 3)).reshape(pts.shape)
+    theta_b = np.arccos(np.clip(back[..., 2], -1.0, 1.0))
+    phi_b = np.mod(np.arctan2(back[..., 1], back[..., 0]), 2.0 * np.pi)
+    f = sum(amp * real_harmonic(l, m, theta_b, phi_b) for l, m, amp in modes)
+    degrees = sorted({l for l, _, _ in modes})
+    return [
+        (l, m, float(np.sum(weights * f * real_harmonic(l, m, theta, phi))))
+        for l in degrees
+        for m in range(-l, l + 1)
+    ]
+
+
+@pytest.mark.parametrize("bandlimit", [16, 32])
+@settings(max_examples=4, derandomize=True, database=None, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1))
+def test_spectral_record_integrals_are_rotation_invariant(bandlimit, seed):
+    grid = GridSpec.for_bandlimit(bandlimit)
+    rotation = Rotation.random(random_state=np.random.default_rng(seed))
+    rec = diagnostics.compute_record(
+        shapes.perturbed_sphere_state(grid, 1.0, ROTATION_MODES)
+    )
+    turned = diagnostics.compute_record(
+        shapes.perturbed_sphere_state(
+            grid, 1.0, rotated_modes(ROTATION_MODES, rotation)
+        )
+    )
+    for name, tol in ROTATION_TOLERANCES.items():
+        a, b = getattr(rec, name), getattr(turned, name)
+        assert abs(b - a) <= tol * abs(a), (name, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,21 @@ def test_rescale_rejects_off_center_graphs_and_bad_factor():
 
 
 @pytest.mark.parametrize(
+    "factor", [np.inf, -np.inf, 1e-60, 1e60, -1e60], ids=str
+)
+@pytest.mark.parametrize(
+    "state",
+    [shapes.sphere_state(GRID, 1.0), shapes.icosphere(1)],
+    ids=["spectral", "mesh"],
+)
+def test_rescale_rejects_a_factor_whose_sixth_power_is_not_finite_and_nonzero(
+    state, factor
+):
+    with pytest.raises(ValueError, match="factor must be positive"):
+        flow.rescale(state, factor)
+
+
+@pytest.mark.parametrize(
     "center",
     [
         (0.1, float("nan"), 0.0),

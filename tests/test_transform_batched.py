@@ -1,13 +1,15 @@
 """The batched, parity-split Legendre sums against a per-order loop.
 
-The transform keeps only the northern half of each Legendre table and
-sums all orders in one product per degree parity. The reference here
-loops over the orders with full-height tables, as the sums are defined
-(oracles.py), so the two meet only in the tables, which are checked
-against scipy's harmonics elsewhere.
+The transform keeps only the northern half of each Legendre table,
+pairs order m with order L - m in one block of columns, and sums all
+orders, for one or two coefficient sets, in one product per degree
+parity. The reference here loops over the orders with full-height
+tables, as the sums are defined (oracles.py), so the two meet only in
+the tables, which are checked against scipy's harmonics elsewhere.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
@@ -30,6 +32,12 @@ def grids(draw):
         return GridSpec.for_bandlimit(L)
     nlat = draw(hst.integers(L + 1, L + 8))
     return GridSpec(L, nlat, draw(hst.integers(2 * L + 1, 2 * L + 9)))
+
+
+def random_coeffs(rng, L):
+    c = rng.standard_normal((L + 1, 2 * L + 1))
+    c[np.abs(np.arange(-L, L + 1)) > np.arange(L + 1)[:, None]] = 0.0
+    return c
 
 
 def assert_close(got, want):
@@ -58,6 +66,58 @@ def test_batched_sums_equal_the_per_order_loop(grid, seed):
         assert_close(got, want)
     values = rng.standard_normal((grid.nlat, grid.nlon))
     assert_close(tr.analyze(values), analyze_by_order(tables[0], tr.w, values))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(grid=grids(), seed=hst.integers(0, 2**32 - 1))
+@example(grid=GridSpec.for_bandlimit(5), seed=4)  # nlat = 9
+@example(grid=GridSpec.for_bandlimit(8), seed=5)  # order 4 pairs with itself
+def test_stacked_sets_equal_the_per_order_loop(grid, seed):
+    L, nlon = grid.bandlimit, grid.nlon
+    tr = _Transform(grid)
+    tables = _alf_tables(L, tr.x)
+    rng = np.random.default_rng(seed)
+    c, extra = random_coeffs(rng, L), random_coeffs(rng, L)
+
+    # set s against table t lands at 2 t + s
+    spectra = tr._spectra((c, extra), 3)
+    for t, table in enumerate(tables):
+        for s, coeffs in enumerate((c, extra)):
+            want = legendre_spectrum_by_order(table, coeffs, nlon)
+            assert_close(spectra[2 * t + s], want)
+    extra_values = np.fft.irfft(
+        legendre_spectrum_by_order(tables[0], extra, nlon), n=nlon, axis=1
+    )
+    want = derivative_values_by_order(tables, tr.x, c, nlon)
+    got = tr.derivative_values(c, extra)
+    assert len(got) == 6
+    for g, w in zip(got, (*want, extra_values)):
+        assert_close(g, w)
+    got = tr.gradient_values(c, extra)
+    assert len(got) == 3
+    for g, w in zip(got, (*want[:2], extra_values)):
+        assert_close(g, w)
+
+
+@pytest.mark.parametrize("L", [8, 9, 16, 17])
+def test_each_order_of_a_paired_block_lands_in_its_own_column(L):
+    # block p holds orders p and L - p; for even L, order L / 2 is alone
+    grid = GridSpec.for_bandlimit(L)
+    tr = _Transform(grid)
+    tables = _alf_tables(L, tr.x)
+    rng = np.random.default_rng(L)
+    for m in range(L + 1):
+        c = np.zeros((L + 1, 2 * L + 1))
+        c[m:, L + m] = rng.standard_normal(L + 1 - m)
+        if m > 0:
+            c[m:, L - m] = rng.standard_normal(L + 1 - m)
+        for got, table in zip(tr._spectra(c, 3), tables):
+            assert_close(got, legendre_spectrum_by_order(table, c, grid.nlon))
+            assert not np.any(np.delete(got, m, axis=1))
+        values = tr.synthesize(c)
+        spectrum = legendre_spectrum_by_order(tables[0], c, grid.nlon)
+        assert_close(values, np.fft.irfft(spectrum, n=grid.nlon, axis=1))
+        assert_close(tr.analyze(values), c)
 
 
 def test_sphere_is_an_exact_fixed_point_on_an_odd_grid():
