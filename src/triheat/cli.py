@@ -141,6 +141,10 @@ def _cmd_simulate(args) -> int:
         fh.write(f"run.dt_final = {traj.meta['dt_final']:.17g}\n")
         fh.write(f"run.records = {len(traj.entries)}\n")
         fh.write(f"run.wall_seconds = {wall:.3f}\n")
+        # the paper's small-energy hypothesis on the initial surface
+        ao2 = traj.records[0].ao2
+        fh.write(f"run.ao2_initial = {ao2:.17g}\n")
+        fh.write(f"run.below_epsilon0 = {'yes' if ao2 < cfg.epsilon0 else 'no'}\n")
 
     last = traj.records[-1]
     print(

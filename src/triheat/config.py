@@ -22,8 +22,11 @@ class FlowConfig:
     """Everything needed to reproduce a run.
 
     ``dt_policy`` is 'auto' (backend default scaled by ``safety``) or
-    'fixed' (use ``dt_value``). ``epsilon0`` is a reporting label for
-    the initial perturbation size; it does not influence the dynamics.
+    'fixed' (use ``dt_value``). ``epsilon0`` is the threshold of the
+    paper's small-energy hypothesis: ``triheat simulate`` writes the
+    initial record's int |A*|^2 to ``run.meta`` as ``run.ao2_initial``,
+    and ``run.below_epsilon0 = yes`` when it lies below ``epsilon0``
+    (else ``no``). It does not influence the dynamics.
     """
 
     backend: str = "spectral"

@@ -93,9 +93,12 @@ def _mesh_step_ok(old: TriangleMesh, new: TriangleMesh) -> bool:
     if disp > 0.5 * mesh_mod.min_edge_length(old):
         return False
     # the face geometry stays cached for the next step's operators
-    if mesh_mod._faces(new).dbl_areas.min() <= 0.0:
+    geo = mesh_mod._faces(new)
+    if geo.dbl_areas.min() <= 0.0:
         return False
-    return mesh_mod.signed_volume(new) > 0.0
+    # the sign of the volume from the normals at hand, with no second
+    # cross product: p0 . (p1 x p2) = p0 . ((p1 - p0) x (p2 - p0))
+    return mesh_mod._row_dots(geo.corners[0].T, geo.normals.T).sum() > 0.0
 
 
 @dataclass(frozen=True)

@@ -64,11 +64,13 @@ class TriangleMesh:
     Index arrays that depend only on the faces (the sparsity pattern of
     the stiffness matrix, the face corners, the edge list) live in one
     topology entry, built on first use and handed on to every mesh that
-    a step, translation or rescaling makes from this one. The face
-    geometry of the vertex positions is built once, into ``_cache``.
+    a step, translation or rescaling makes from this one, together with
+    the memo of the last full concentration pass (:func:`concentration`).
+    The face geometry of the vertex positions is built once, into
+    ``_cache``.
     """
 
-    __slots__ = ("vertices", "faces", "time", "_cache", "_topology")
+    __slots__ = ("vertices", "faces", "time", "_cache", "_topology", "_memo")
 
     def __init__(self, vertices, faces, time: float = 0.0):
         vertices = np.asarray(vertices, dtype=float)
@@ -82,6 +84,7 @@ class TriangleMesh:
         self.time = float(time)
         self._cache = {}
         self._topology = None
+        self._memo = {}
 
     @property
     def n_vertices(self) -> int:
@@ -144,9 +147,11 @@ class TriangleMesh:
         return self._moved(self.vertices + np.asarray(offset, float), self.time)
 
     def _moved(self, vertices, time: float) -> "TriangleMesh":
-        """A mesh of new vertices on these faces, sharing the topology entry."""
+        """A mesh of new vertices on these faces, sharing the topology entry
+        and the concentration memo."""
         out = TriangleMesh(vertices, self.faces, time)
         out._topology = self._topology
+        out._memo = self._memo
         return out
 
     def __repr__(self):
@@ -570,12 +575,28 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     Candidate centers are the vertices and the edge midpoints, each
     undirected edge once; the ball is Euclidean with the given radius
     and vertices carry their lumped mass. Each midpoint is anchored at
-    its edge's lower-index end, half the edge's length away, so
-    :func:`max_ball_sum` needs no nearest-vertex query (its docstring
-    gives the join and distance-test counts at 20480 faces); when some
-    half-edge is longer than the radius it finds the nearest vertices
-    itself.
+    its edge's lower-index end, half the edge's length away, so the
+    self-join of :func:`max_ball_sum` needs no nearest-vertex query (its
+    docstring gives the join and distance-test counts at 20480 faces);
+    when some half-edge is longer than the radius it finds the nearest
+    vertices itself.
+
+    That full pass also gives every center's mass within r (1 + _ETA),
+    kept with the vertices and the density in a memo that the meshes a
+    step, translation or rescaling makes from this one share. A later
+    mesh whose vertices all lie within _ETA r / 2 of the memo's is
+    certified from it (:func:`_bounds`): exact sums are taken only at the
+    few centers whose bound reaches the best of them, by brute force over
+    the vertices. A mesh that moved farther, or whose bounds leave more
+    than _SETTLE_CAP centers, runs the full pass and refreshes the memo.
+    The result is cached per mesh and radius, so asking again returns the
+    same bits.
     """
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    key = ("alpha", radius)
+    if key in mesh._cache:
+        return mesh._cache[key]
     H = mean_curvature(mesh)
     ao2, _ = tracefree_norm_sq(mesh)
     _, M = build_operators(mesh)
@@ -584,8 +605,124 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     # the topology lists each undirected edge once, also on meshes that
     # were never validated
     a, b = _topology(mesh).edges.T
-    centers = np.concatenate([v, (v[a] + v[b]) / 2.0])
-    return max_ball_sum(v, centers, density, radius, anchors=a)
+    mids = np.take(v, a, axis=0)
+    mids += np.take(v, b, axis=0)
+    centers = np.concatenate([v, mids / 2.0])
+    # a ball that spans the vertices' bounding box covers every point, as
+    # in max_ball_sum: the midpoints lie in the box of their edge's ends
+    if radius >= np.linalg.norm(v.max(axis=0) - v.min(axis=0)):
+        alpha = float(density.sum())
+    else:
+        alpha = _settled_max(mesh._memo.get("alpha"), v, centers, density, radius)
+        if alpha is None:
+            alpha, _, padded = _ball_sums(v, centers, density, radius, a)
+            if padded is not None:
+                mesh._memo["alpha"] = _Memo(radius, v, density, padded)
+    mesh._cache[key] = alpha
+    return alpha
+
+
+# The padded sums of the full pass reach r (1 + _ETA), and a mesh whose
+# vertices moved by at most _ETA r / 2 is certified: 1.25e-4 at r = 0.25.
+# mesh_20k moves its vertices by 1.8e-6 between records, and the 5120-
+# face three-mode mesh by 1.2e-5 in 20 steps. The margin widens every
+# bound: on the two mesh_20k runs (seeds 1, 2) a record settles 10 and 56
+# centers at 1e-3 and 8 and 18 at 1e-4; at 1e-2 one record passes the
+# cap below and the others settle 740 to 920.
+_ETA = 1e-3
+# Centers that a certified state settles at most. One exact sum takes
+# about 1/3400 of a full pass at 20480 faces (44 us against 150 ms), so
+# settling this many costs under a third of one.
+_SETTLE_CAP = 1024
+# centers of largest bound whose exact sums set the first lower bound
+_TOP = 8
+
+
+class _Memo(NamedTuple):
+    """The last full concentration pass on a run's meshes."""
+
+    radius: float
+    # the vertices it ran on: a mesh's vertices are never changed in
+    # place, as its cached geometry assumes too
+    points: np.ndarray
+    density: np.ndarray  # their curvature mass
+    padded: np.ndarray  # every center's mass within radius * (1 + _ETA)
+
+
+def _bounds(memo, points, density, radius: float):
+    """Upper bounds on every center's ball sum from the memo, or None.
+
+    With delta the largest vertex displacement since the memo, a point
+    inside a center's ball lay within r + 2 delta of that center then:
+    an edge midpoint moves by no more than its ends. When 2 delta fits
+    in _ETA r, less a margin of 1e-12 (r + the largest coordinate) for
+    the rounding of the distance tests and of the midpoints, the point
+    lay in the padded ball. So, the density being nonnegative, each
+    center's sum is at most its padded sum plus Delta, the sum of
+    |w - w_memo| over the vertices. Sums of at most n terms round by
+    less than n 2^-53 times their mass, so the bound adds n 2^-50 times
+    both total masses, four times the first-order rounding of the
+    padded sum, the exact sum and Delta. None when the memo is for
+    another radius, the density has a negative or nan value, or the
+    vertices moved too far.
+    """
+    if memo is None or memo.radius != radius or memo.points.shape != points.shape:
+        return None
+    if not density.min() >= 0.0:
+        return None
+    delta = _row_norms((points - memo.points).T).max()
+    extent = max(np.abs(points).max(), np.abs(memo.points).max())
+    if not 2.0 * delta + 1e-12 * (radius + extent) <= _ETA * radius:
+        return None
+    slack = len(points) * 2.0**-50 * (density.sum() + memo.density.sum())
+    return memo.padded + (np.abs(density - memo.density).sum() + slack)
+
+
+def _settled_max(memo, points, centers, density, radius: float):
+    """The largest ball sum from the memo's bounds and a few exact sums.
+
+    The centers with the _TOP largest bounds are summed first; no center
+    whose bound stays below the best of those sums can beat it, and the
+    others are summed too. None when the memo gives no bounds or more
+    than _SETTLE_CAP centers are left.
+    """
+    bound = _bounds(memo, points, density, radius)
+    if bound is None:
+        return None
+    top = np.argpartition(bound, -min(_TOP, len(bound)))[-_TOP:]
+    best = _exact_sums(points, centers[top], density, radius).max()
+    rest = np.flatnonzero(bound >= best)
+    rest = rest[~np.isin(rest, top)]
+    if len(rest) > _SETTLE_CAP:
+        return None
+    rest = _exact_sums(points, centers[rest], density, radius)
+    return float(max(best, rest.max(initial=-np.inf)))
+
+
+def _exact_sums(points, centers, density, radius: float) -> np.ndarray:
+    """Ball sums of a few centers over all the points, blocks of centers
+    at a time, by the squared-difference test of the full pass."""
+    pt, r2 = points.T.copy(), radius * radius
+    block = max(_PAIR_CHUNK // len(points), 1)
+    out = np.empty(len(centers))
+    for start in range(0, len(centers), block):
+        c = centers[start : start + block]
+        sq = None
+        for k in range(3):
+            d = np.subtract.outer(c[:, k], pt[k])
+            d *= d
+            sq = d if sq is None else np.add(sq, d, out=sq)
+        out[start : start + block] = (sq <= r2) @ density
+    return out
+
+
+def _ball_sums(points, centers, density, radius: float, anchors):
+    """The full pass of :func:`concentration`: (maximum, every center's
+    ball sum, every center's padded sum) of :func:`_anchored_max`."""
+    from scipy.spatial import cKDTree
+
+    n = len(points)
+    return _anchored_max(cKDTree(points), points, centers[n:], density, radius, anchors)
 
 
 # extra centers joined against the point tree at once in max_ball_sum
@@ -625,11 +762,13 @@ def max_ball_sum(points, centers, density, radius: float, anchors=None) -> float
     r + d_max, d_max the largest d, gives every point's ball sum, every
     anchor's core sum within r - d_max, which B(c) holds too, p itself
     included, and the shell pairs beyond: c adds the shell points inside
-    B(c) to its anchor's core. The join is reduced ``_PAIR_CHUNK`` pairs
-    at a time, each shell pair tested once against every center of its
-    anchor. On the 20480-face ``mesh_20k`` benchmark state (seed 1) at
-    r = 0.25, with the edge-end anchors of :func:`concentration`, that
-    is 964384 join pairs, 290150 in the shell and 1741937 distance tests.
+    B(c) to its anchor's core. The join reaches r (1 + _ETA) + d_max,
+    for the padded sums of :func:`concentration`, and is reduced
+    ``_PAIR_CHUNK`` pairs at a time, each shell pair tested once against
+    every center of its anchor. On the 20480-face ``mesh_20k`` benchmark
+    state (seed 1) at r = 0.25, with the edge-end anchors of
+    :func:`concentration`, that is 966352 join pairs, 292118 in the shell
+    and 1753490 distance tests (964384, 290150 and 1741937 at r + d_max).
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
@@ -649,7 +788,7 @@ def max_ball_sum(points, centers, density, radius: float, anchors=None) -> float
     if np.array_equal(centers[:n], points):
         if anchors is not None and np.shape(anchors) != (len(centers) - n,):
             raise ValueError("anchors must name one point per center past the points")
-        return _anchored_max(tree, points, centers[n:], density, radius, anchors)
+        return _anchored_max(tree, points, centers[n:], density, radius, anchors)[0]
     best = -np.inf
     for start in range(0, len(centers), _CENTER_BLOCK):
         block = centers[start : start + _CENTER_BLOCK]
@@ -659,9 +798,25 @@ def max_ball_sum(points, centers, density, radius: float, anchors=None) -> float
     return float(best)
 
 
-def _anchored_max(tree, points, extra, density, radius: float, anchor) -> float:
-    """max_ball_sum over the points and then the extra centers."""
+def _split(d2, r2: float, big2: float):
+    """(d2 <= r2, where r2 < d2 <= big2), so that d2 need not outlive the
+    tests."""
+    inside = d2 <= r2
+    return inside, np.flatnonzero(inside != (d2 <= big2))
+
+
+def _anchored_max(tree, points, extra, density, radius: float, anchor):
+    """max_ball_sum over the points and then the extra centers.
+
+    Returns the maximum, every center's ball sum, and every center's
+    padded sum, its mass within radius * (1 + _ETA); the padded sums are
+    None when some extra center lies farther than the radius from its
+    anchor and its nearest point, since its empty ball says nothing
+    about the padded one.
+    """
     n, r2, pt, ex = len(points), radius * radius, points.T.copy(), extra.T.copy()
+    big = radius * (1.0 + _ETA)
+    big2 = big * big
     every = np.arange(len(extra))
     if anchor is not None:
         anchor = np.asarray(anchor, dtype=np.intp)
@@ -679,8 +834,11 @@ def _anchored_max(tree, points, extra, density, radius: float, anchor) -> float:
     d_max = np.sqrt(d2[near].max(initial=0.0))
     # both bounds moved out by a relative 1e-12 against rounding
     inner2 = max(radius * (1.0 - 1e-12) - d_max, 0.0) ** 2
-    pairs = tree.query_pairs((radius + d_max) * (1.0 + 1e-12), output_type="ndarray")
+    pairs = tree.query_pairs((big + d_max) * (1.0 + 1e-12), output_type="ndarray")
     core, rim, fix = density.copy(), np.zeros(n), np.zeros(len(anchor))
+    # the mass beyond the radius but within big: the few tests that land
+    # in that thin shell are gathered apart
+    rim_out, fix_out = np.zeros(n), np.zeros(len(anchor))
     for start in range(0, len(pairs), _PAIR_CHUNK):
         # contiguous copies: gathers through the strided columns of pairs
         # take about twice as long
@@ -695,18 +853,32 @@ def _anchored_max(tree, points, extra, density, radius: float, anchor) -> float:
         sa, sb = np.take(a, s), np.take(b, s)
         p, x = np.concatenate([sa, sb]), np.concatenate([sb, sa])
         w = np.concatenate([np.take(wb, s), np.take(wa, s)])
-        rim += np.bincount(p, w * (np.tile(np.take(d2, s), 2) <= r2), n)
+        inside, out = _split(np.take(d2, s), r2, big2)
+        rim += np.bincount(p, w * np.tile(inside, 2), n)
+        out = np.concatenate([out, out + len(s)])
+        rim_out += np.bincount(np.take(p, out), np.take(w, out), n)
         # every pair once per center of its anchor: pair e[t] and center k[t]
         c = np.take(cnt, p)
         e = np.repeat(np.arange(len(p)), c)
         k = np.take(np.take(first, p) - (np.cumsum(c) - c), e)
         k += np.arange(len(e))
         we = np.take(w, e)
-        we *= _sq_dists(pt, np.take(x, e), ex, k) <= r2
+        inside, out = _split(_sq_dists(pt, np.take(x, e), ex, k), r2, big2)
+        fix_out += np.bincount(np.take(k, out), np.take(we, out), len(fix))
+        we *= inside
         fix += np.bincount(k, we, len(fix))
+    # the pair list is the largest array held; the sums below take its room
+    del pairs
     # a center farther than the radius from every point has an empty ball
-    empty = -np.inf if near.all() else 0.0
-    return float(max((core + rim).max(), (core[anchor] + fix).max(initial=empty)))
+    sums = np.zeros(n + len(extra))
+    sums[:n] = core + rim
+    sums[n + order] = np.take(core, anchor) + fix
+    padded = None
+    if near.all():
+        padded = sums.copy()
+        padded[:n] += rim_out
+        padded[n + order] += fix_out
+    return float(sums.max()), sums, padded
 
 
 # -- OBJ interchange ---------------------------------------------------------

@@ -313,6 +313,46 @@ def test_simulate_meta_reparses_to_the_same_config(tmp_path):
     assert all(b <= a for a, b in zip(areas, areas[1:]))
 
 
+def test_simulate_reports_the_small_energy_hypothesis(tmp_path):
+    def simulate(name, *settings):
+        out = str(tmp_path / name)
+        args = ["simulate", "--set", f"out.dir={out}", "--set", "t_end=1e-4"]
+        for item in settings:
+            args += ["--set", item]
+        assert main(args) == 0
+        path = os.path.join(out, "run.meta")
+        lines = open(path).read().splitlines()
+        run = dict(ln.split(" = ", 1) for ln in lines if ln.startswith("run."))
+        first = diagnostics.read_csv(os.path.join(out, "diagnostics.csv"))[0]
+        assert float(run["run.ao2_initial"]) == first.ao2
+        return path, run
+
+    # a round sphere has no tracefree curvature to speak of
+    _, run = simulate("round")
+    assert float(run["run.ao2_initial"]) <= 1e-12
+    assert run["run.below_epsilon0"] == "yes"
+    path, run = simulate(
+        "bumped",
+        "shape.kind=perturbed",
+        "shape.perturb=2,0,0.001",
+        "dt.policy=fixed",
+        "dt.value=5e-5",
+        "epsilon0=1e-12",
+    )
+    assert float(run["run.ao2_initial"]) > 1e-12
+    assert run["run.below_epsilon0"] == "no"
+    want = cfgmod.FlowConfig(
+        out_dir=str(tmp_path / "bumped"),
+        t_end=1e-4,
+        shape_kind="perturbed",
+        shape_perturb="2,0,0.001",
+        dt_policy="fixed",
+        dt_value=5e-5,
+        epsilon0=1e-12,
+    )
+    assert cfgmod.parse_config(path) == want
+
+
 @pytest.mark.parametrize("value", ["runs/#3", "runs\nbackend = mesh"], ids=["hash", "newline"])
 def test_simulate_rejects_an_out_dir_run_meta_cannot_echo(tmp_path, capsys, value):
     rc = main(["simulate", "--set", f"out.dir={tmp_path}/{value}", "--set", "t_end=0.1"])

@@ -583,13 +583,13 @@ def test_concentration_rejects_bad_radius():
 
 def test_concentration_centers_each_edge_midpoint_once(monkeypatch):
     seen = []
-    ball_sum = mesh.max_ball_sum
+    ball_sum = mesh._ball_sums
 
     def spy(points, centers, density, radius, anchors=None):
         seen.append(len(centers))
         return ball_sum(points, centers, density, radius, anchors=anchors)
 
-    monkeypatch.setattr(mesh, "max_ball_sum", spy)
+    monkeypatch.setattr(mesh, "_ball_sums", spy)
     m = shapes.icosphere(2)
     n_edges = 3 * m.n_faces // 2
     mesh.concentration(m, 0.25)
@@ -598,6 +598,121 @@ def test_concentration_centers_each_edge_midpoint_once(monkeypatch):
     f[0] = f[0, ::-1]
     mesh.concentration(TriangleMesh(m.vertices, f), 0.25)
     assert seen == [m.n_vertices + n_edges] * 2
+
+
+THREE_MODES = [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]
+
+
+def fresh_copy(m):
+    """The mesh on copies of its arrays, with no cache, topology or memo."""
+    return TriangleMesh(m.vertices.copy(), m.faces.copy(), m.time)
+
+
+def count_full_passes(monkeypatch):
+    """A list that grows by one for each full pass of concentration."""
+    calls = []
+    full = mesh._ball_sums
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(mesh, "_ball_sums", counted)
+    return calls
+
+
+def test_mesh_run_records_equal_records_of_fresh_copies(monkeypatch):
+    calls = count_full_passes(monkeypatch)
+    m = shapes.perturbed_sphere_mesh(4, 1.0, THREE_MODES)
+    traj = flow.run(m, 20 * flow.auto_dt(m), cadence=5)
+    # one full pass: the later records are certified from its memo
+    assert len(traj.entries) == 5 and len(calls) == 1
+    for e in traj.entries:
+        rec = diagnostics.compute_record(fresh_copy(e.state))
+        assert e.record.as_tuple()[:-1] == rec.as_tuple()[:-1]
+        assert abs(e.record.alpha - rec.alpha) <= 1e-13 * rec.alpha
+        # asked again, the recorded state keeps its bits
+        assert diagnostics.concentration(e.state, 0.25) == e.record.alpha
+    # fresh copies carry no memo
+    assert len(calls) == 1 + len(traj.entries)
+
+
+def _stepped(m, steps):
+    dt = flow.auto_dt(m)
+    for _ in range(steps):
+        m = flow.step_mesh(m, dt)
+    return m
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        lambda m: m.translated([0.0, 0.06, 0.08]),
+        lambda m: flow.rescale(m, 2.0),
+        lambda m: _stepped(m, 50),
+    ],
+    ids=["translated", "rescaled", "50-steps"],
+)
+def test_a_mesh_moved_past_the_margin_takes_the_full_pass(monkeypatch, move):
+    m = shapes.perturbed_sphere_mesh(3, 1.0, THREE_MODES)
+    mesh.concentration(m, 0.25)
+    moved = move(m)
+    assert moved._memo is m._memo
+    shift = np.linalg.norm(moved.vertices - m.vertices, axis=1).max()
+    assert shift > mesh._ETA * 0.25 / 2.0
+    calls = count_full_passes(monkeypatch)
+    got = mesh.concentration(moved, 0.25)
+    assert len(calls) == 1
+    want = mesh.concentration(fresh_copy(moved), 0.25)
+    assert abs(got - want) <= 1e-13 * want
+
+
+MEMO_MESH = shapes.perturbed_sphere_mesh(4, 1.0, THREE_MODES)
+
+
+def curvature_mass(m):
+    """The per-vertex density that concentration sums."""
+    H = mesh.mean_curvature(m)
+    ao2, _ = mesh.tracefree_norm_sq(m)
+    _, mass = mesh.build_operators(m)
+    return (ao2 + 0.5 * H * H) * mass
+
+
+def centers_of(v, m):
+    """Vertices v, then the midpoints of m's edges, as concentration lists them."""
+    a, b = mesh._topology(m).edges.T
+    return np.concatenate([v, (v[a] + v[b]) / 2.0])
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    reach=hst.floats(0.0, 0.999),
+    change=hst.one_of(hst.just(0.0), hst.floats(0.0, 0.5)),
+)
+def test_memo_bounds_hold_and_the_settled_max_is_exact(seed, reach, change):
+    """Vertices moved by up to reach * _ETA r / 2 and a density scaled
+    by up to 1 +- change keep every ball sum within the memo's bounds."""
+    radius = 0.25
+    v, a = MEMO_MESH.vertices, mesh._topology(MEMO_MESH).edges[:, 0]
+    density = curvature_mass(MEMO_MESH)
+    _, _, padded = mesh._ball_sums(v, centers_of(v, MEMO_MESH), density, radius, a)
+    memo = mesh._Memo(radius, v.copy(), density, padded)
+    rng = np.random.default_rng(seed)
+    step = rng.normal(size=v.shape)
+    step *= rng.uniform(0.0, 1.0, (len(v), 1)) / np.linalg.norm(step, axis=1)[:, None]
+    moved = v + reach * mesh._ETA * radius / 2.0 * step
+    w = density * (1.0 + change * rng.uniform(-1.0, 1.0, len(v)))
+    mids = centers_of(moved, MEMO_MESH)
+    best, sums, _ = mesh._ball_sums(moved, mids, w, radius, a)
+    bound = mesh._bounds(memo, moved, w, radius)
+    assert bound is not None
+    assert np.all(sums <= bound)
+    with pytest.MonkeyPatch.context() as mp:
+        # a large density change leaves more centers than the cap to settle
+        mp.setattr(mesh, "_SETTLE_CAP", len(mids))
+        got = mesh._settled_max(memo, moved, mids, w, radius)
+    assert abs(got - best) <= 1e-13 * best
 
 
 def brute_ball_max(points, centers, density, radius):
