@@ -21,7 +21,7 @@ np.einsum("ij,ij->i", a, b) does on C-ordered arrays.
 
 scipy is imported where it is used, so only the mesh backend loads it:
 scipy.sparse in _topology and build_operators, which build the sparse
-matrices, and scipy.spatial in max_ball_sum, for the kd-tree.
+matrices, and scipy.spatial in _ball_sums, for the kd-tree.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "min_edge_length",
     "dirichlet_energy",
     "concentration",
-    "max_ball_sum",
     "load_obj",
     "save_obj",
 ]
@@ -59,7 +58,9 @@ class TriangleMesh:
     verify the mesh is a closed oriented manifold surface of sphere
     topology with nondegenerate faces. The flow loop validates once up
     front and then steps without re-checking topology, which never
-    changes during a run.
+    changes during a run. The operators reject faces that do not close
+    up into an oriented manifold with validate's error, since they
+    assume every directed edge has one reverse.
 
     Index arrays that depend only on the faces (the sparsity pattern of
     the stiffness matrix, the face corners, the edge list) live in one
@@ -116,23 +117,9 @@ class TriangleMesh:
         used[f.ravel()] = True
         if not used.all():
             raise ValueError(f"{int((~used).sum())} vertices are not referenced")
-        # the topology pairs each directed edge with its reverse exactly
-        # when the edges are distinct and close up; only when they do not
-        # are the edge keys sorted again, to tell which check fails
+        # the topology pairs each directed edge with its reverse, and
+        # raises when the edges repeat or do not close up
         topo = _topology(self)
-        if topo.pairs is None:
-            edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-            keys = edges[:, 0] * len(v) + edges[:, 1]
-            uniq, counts = np.unique(keys, return_counts=True)
-            if counts.max(initial=1) > 1:
-                raise ValueError(
-                    "directed edge repeats; mesh is not an oriented manifold"
-                )
-            # the keys are distinct, so the reversed keys are too: the two
-            # sets agree exactly when the sorted reversed keys equal uniq
-            rev = np.sort(edges[:, 1] * len(v) + edges[:, 0])
-            if not np.array_equal(rev, uniq):
-                raise ValueError("mesh has boundary or inconsistent orientation")
         euler = len(v) - len(topo.edges) + len(f)
         if euler != 2:
             raise ValueError(f"Euler characteristic {euler}, expected 2 (sphere)")
@@ -173,12 +160,9 @@ class _Topology(NamedTuple):
     vertex_faces: sp.csr_matrix
     indptr: np.ndarray  # CSR pattern of W, diagonal included
     indices: np.ndarray
-    # on a closed oriented manifold, the two terms of each off-diagonal
-    # slot as (2, off) indices into the 3F half-cotangents
-    # (:func:`_closed_slots`); else where each of the 6F terms lands in
-    # W.data (:func:`_any_slots`)
-    pairs: np.ndarray | None
-    slots: np.ndarray | None
+    # the two terms of each off-diagonal slot as (2, off) indices into
+    # the 3F half-cotangents (:func:`_closed_slots`)
+    pairs: np.ndarray
     diag: np.ndarray  # where each row's diagonal lies in W.data
     off: np.ndarray  # the off-diagonal positions of W.data, row by row
     rows: np.ndarray  # rows with off-diagonal entries
@@ -208,7 +192,7 @@ def _stable_argsort(keys: np.ndarray, top: int):
 
 
 def _closed_slots(I, J, n: int):
-    """The slots of W and their terms when the half-edges close up, else None.
+    """The slots of W and their terms on a closed oriented manifold.
 
     I -> J are the 3F half-edges of the faces, that of corner k of face f
     at k * F + f, which carries that corner's half-cotangent. On a closed
@@ -217,15 +201,19 @@ def _closed_slots(I, J, n: int):
     half-edges, and the slot (i, j) gets the terms of i -> j and j -> i:
     sorting the keys of the half-edges and of their reverses pairs them.
     Returns the row and column of every slot of W in CSR order, and the
-    (2, 3F) pairs of terms of the off-diagonal slots.
+    (2, 3F) pairs of terms of the off-diagonal slots. Raises ValueError,
+    with the message of :meth:`TriangleMesh.validate`, when a directed
+    edge repeats, one has no reverse, or one joins a vertex to itself.
     """
     fwd_order, fwd = _stable_argsort(I * n + J, n * n)
+    if np.any(fwd[1:] == fwd[:-1]):
+        raise ValueError("directed edge repeats; mesh is not an oriented manifold")
     rev_order, rev = _stable_argsort(J * n + I, n * n)
-    if not np.array_equal(fwd, rev) or np.any(fwd[1:] == fwd[:-1]):
-        return None
+    if not np.array_equal(fwd, rev):
+        raise ValueError("mesh has boundary or inconsistent orientation")
     r, c = np.take(I, fwd_order), np.take(J, fwd_order)
     if np.any(r == c):
-        return None
+        raise ValueError("mesh has degenerate faces (repeated vertex)")
     # each row's diagonal goes after the columns below it
     d = np.arange(n)
     diag = np.searchsorted(fwd, d * (n + 1)) + d
@@ -236,33 +224,6 @@ def _closed_slots(I, J, n: int):
     rows[is_off], cols[is_off] = r, c
     rows[diag], cols[diag] = d, d
     return rows, cols, np.stack([fwd_order, rev_order])
-
-
-def _any_slots(I, J, n: int):
-    """The slots of W on any mesh, and where each cotangent term lands.
-
-    Each half-edge i -> j of :func:`_closed_slots` gives one term to the
-    slot (i, j) and one to (j, i). Returns the row and column of every
-    slot in CSR order, and the slot of each of the 6F terms in the order
-    (i1, i2), (i2, i1), (i2, i0), (i0, i2), (i0, i1), (i1, i0), which
-    np.bincount adds them in.
-    """
-    F = len(I) // 3
-    d = np.arange(n)
-    I, J = np.concatenate([I, J, d]), np.concatenate([J, I, d])
-    keys = I * n
-    keys += J
-    # np.unique(keys, return_inverse=True) with less overhead: one sort,
-    # and a flag where each run of equal sorted keys starts
-    order, keys = _stable_argsort(keys, n * n)
-    run = np.empty(len(keys), dtype=bool)
-    run[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=run[1:])
-    at = np.take(order, np.flatnonzero(run))
-    slots = np.empty(len(order), dtype=np.intp)
-    slots[order] = np.cumsum(run) - 1
-    slots = slots[: 6 * F].reshape(6, F)[[0, 3, 1, 4, 2, 5]].reshape(-1)
-    return np.take(I, at), np.take(J, at), slots
 
 
 def _topology(mesh: TriangleMesh) -> _Topology:
@@ -283,12 +244,7 @@ def _topology(mesh: TriangleMesh) -> _Topology:
     by_vertex = np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n))])
     i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
     I, J = np.concatenate([i1, i2, i0]), np.concatenate([i2, i0, i1])
-    pairs = slots = None
-    closed = _closed_slots(I, J, n)
-    if closed is None:
-        r, c, slots = _any_slots(I, J, n)
-    else:
-        r, c, pairs = closed
+    r, c, pairs = _closed_slots(I, J, n)
     on_diag = r == c
     off = np.flatnonzero(~on_diag)
     # scipy picks the index dtype once, so filling W later copies nothing
@@ -306,7 +262,6 @@ def _topology(mesh: TriangleMesh) -> _Topology:
         indptr=pattern.indptr,
         indices=pattern.indices,
         pairs=pairs,
-        slots=slots,
         diag=np.flatnonzero(on_diag),
         off=off,
         rows=rows,
@@ -435,17 +390,11 @@ def build_operators(mesh: TriangleMesh):
 
     # the off-diagonal and the diagonal slots cover W.data between them
     data = np.empty(len(topo.indices))
-    if topo.pairs is None:
-        # some slot has other than two terms, or two from faces on one
-        # side: an open, non-manifold or inconsistently oriented mesh
-        terms = np.repeat(half.reshape(3, -1), 2, axis=0).reshape(-1)
-        offdata = np.take(np.bincount(topo.slots, terms, len(data)), topo.off)
-    else:
-        # a sum of two terms has no order; + 0.0 turns -0.0 + -0.0 into
-        # the +0.0 that bincount's zero start gives
-        offdata = np.take(half, topo.pairs[0])
-        offdata += np.take(half, topo.pairs[1])
-        offdata += 0.0
+    # a sum of two terms has no order; + 0.0 turns -0.0 + -0.0 into the
+    # +0.0 that a sum from a zero start gives
+    offdata = np.take(half, topo.pairs[0])
+    offdata += np.take(half, topo.pairs[1])
+    offdata += 0.0
     data[topo.off] = offdata
     # each diagonal is minus its row's off-diagonal sum, added in column
     # order as scipy's row sum adds them
@@ -576,7 +525,7 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     undirected edge once; the ball is Euclidean with the given radius
     and vertices carry their lumped mass. Each midpoint is anchored at
     its edge's lower-index end, half the edge's length away, so the
-    self-join of :func:`max_ball_sum` needs no nearest-vertex query (its
+    self-join of :func:`_ball_sums` needs no nearest-vertex query (its
     docstring gives the join and distance-test counts at 20480 faces);
     when some half-edge is longer than the radius it finds the nearest
     vertices itself.
@@ -602,14 +551,14 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     _, M = build_operators(mesh)
     density = (ao2 + 0.5 * H * H) * M
     v = mesh.vertices
-    # the topology lists each undirected edge once, also on meshes that
-    # were never validated
+    # the topology lists each undirected edge once
     a, b = _topology(mesh).edges.T
     mids = np.take(v, a, axis=0)
     mids += np.take(v, b, axis=0)
     centers = np.concatenate([v, mids / 2.0])
-    # a ball that spans the vertices' bounding box covers every point, as
-    # in max_ball_sum: the midpoints lie in the box of their edge's ends
+    # a ball that spans the vertices' bounding box covers every point; skip
+    # the pair query, whose size would grow as radius^3. The midpoints lie
+    # in the box of their edge's ends
     if radius >= np.linalg.norm(v.max(axis=0) - v.min(axis=0)):
         alpha = float(density.sum())
     else:
@@ -716,18 +665,8 @@ def _exact_sums(points, centers, density, radius: float) -> np.ndarray:
     return out
 
 
-def _ball_sums(points, centers, density, radius: float, anchors):
-    """The full pass of :func:`concentration`: (maximum, every center's
-    ball sum, every center's padded sum) of :func:`_anchored_max`."""
-    from scipy.spatial import cKDTree
-
-    n = len(points)
-    return _anchored_max(cKDTree(points), points, centers[n:], density, radius, anchors)
-
-
-# extra centers joined against the point tree at once in max_ball_sum
-_CENTER_BLOCK = 4096
-# pairs of the widened self-join reduced at once in max_ball_sum
+# pairs of the widened self-join reduced at once in _ball_sums, and
+# center-point tests held at once in _exact_sums
 _PAIR_CHUNK = 65536
 
 
@@ -743,61 +682,6 @@ def _sq_dists(p, i, q, j) -> np.ndarray:
     return sq
 
 
-def max_ball_sum(points, centers, density, radius: float, anchors=None) -> float:
-    """Largest sum of per-point density over a Euclidean ball of centers.
-
-    The radius r must be positive (infinity is allowed). A center with
-    no point in range sums to 0. Centers that do not begin with the
-    points are joined against the point tree ``_CENTER_BLOCK`` at a
-    time, so the pairs held at once stay bounded.
-
-    When they do (a node cloud, or a mesh's vertices and then its edge
-    midpoints), each further center c is anchored at a point p at
-    distance d <= r. ``anchors`` may name that point, one index into the
-    points per further center; without it, or when some named point
-    lies farther than r from its center, c is anchored at its nearest
-    point instead, and if that too lies farther than r its ball is
-    empty. A point in just one of B(c) and B(p) lies in the shell
-    r - d < |x - p| <= r + d. So one self-join of the points at
-    r + d_max, d_max the largest d, gives every point's ball sum, every
-    anchor's core sum within r - d_max, which B(c) holds too, p itself
-    included, and the shell pairs beyond: c adds the shell points inside
-    B(c) to its anchor's core. The join reaches r (1 + _ETA) + d_max,
-    for the padded sums of :func:`concentration`, and is reduced
-    ``_PAIR_CHUNK`` pairs at a time, each shell pair tested once against
-    every center of its anchor. On the 20480-face ``mesh_20k`` benchmark
-    state (seed 1) at r = 0.25, with the edge-end anchors of
-    :func:`concentration`, that is 966352 join pairs, 292118 in the shell
-    and 1753490 distance tests (964384, 290150 and 1741937 at r + d_max).
-    """
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
-    points = np.asarray(points, dtype=float)
-    centers = np.asarray(centers, dtype=float)
-    density = np.asarray(density, dtype=float)
-    # a ball that covers the joint bounding box covers every point; skip
-    # the pair query, whose size would grow as radius^3
-    lo = np.minimum(points.min(axis=0), centers.min(axis=0))
-    hi = np.maximum(points.max(axis=0), centers.max(axis=0))
-    if radius >= np.linalg.norm(hi - lo):
-        return float(density.sum())
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(points)
-    n = len(points)
-    if np.array_equal(centers[:n], points):
-        if anchors is not None and np.shape(anchors) != (len(centers) - n,):
-            raise ValueError("anchors must name one point per center past the points")
-        return _anchored_max(tree, points, centers[n:], density, radius, anchors)[0]
-    best = -np.inf
-    for start in range(0, len(centers), _CENTER_BLOCK):
-        block = centers[start : start + _CENTER_BLOCK]
-        pairs = cKDTree(block).sparse_distance_matrix(tree, radius, output_type="ndarray")
-        sums = np.bincount(pairs["i"], density[pairs["j"]], len(block))
-        best = max(best, sums.max())
-    return float(best)
-
-
 def _split(d2, r2: float, big2: float):
     """(d2 <= r2, where r2 < d2 <= big2), so that d2 need not outlive the
     tests."""
@@ -805,24 +689,47 @@ def _split(d2, r2: float, big2: float):
     return inside, np.flatnonzero(inside != (d2 <= big2))
 
 
-def _anchored_max(tree, points, extra, density, radius: float, anchor):
-    """max_ball_sum over the points and then the extra centers.
+def _ball_sums(points, centers, density, radius: float, anchors):
+    """The full pass of :func:`concentration`: the largest sum of the
+    per-point density over a Euclidean ball of the radius about a center,
+    every center's ball sum, and every center's padded sum, its mass
+    within radius * (1 + _ETA).
 
-    Returns the maximum, every center's ball sum, and every center's
-    padded sum, its mass within radius * (1 + _ETA); the padded sums are
-    None when some extra center lies farther than the radius from its
-    anchor and its nearest point, since its empty ball says nothing
-    about the padded one.
+    The centers are the points and then further centers (a mesh's
+    vertices and then its edge midpoints). Each further center c is
+    anchored at a point p at distance d <= r, which ``anchors`` names,
+    one index into the points per further center. When some named point
+    lies farther than r from its center, every further center is
+    anchored at its nearest point instead, and if that too lies farther
+    than r its ball is empty and sums to 0; the padded sums are then
+    None, since an empty ball says nothing about the padded one.
+
+    A point in just one of B(c) and B(p) lies in the shell
+    r - d < |x - p| <= r + d. So one self-join of the points at
+    r + d_max, d_max the largest d, gives every point's ball sum, every
+    anchor's core sum within r - d_max, which B(c) holds too, p itself
+    included, and the shell pairs beyond: c adds the shell points inside
+    B(c) to its anchor's core. The join reaches r (1 + _ETA) + d_max,
+    for the padded sums, and is reduced ``_PAIR_CHUNK`` pairs at a time,
+    each shell pair tested once against every center of its anchor. On
+    the 20480-face ``mesh_20k`` benchmark state (seed 1) at r = 0.25,
+    with the edge-end anchors of :func:`concentration`, that is 966352
+    join pairs, 292118 in the shell and 1753490 distance tests (964384,
+    290150 and 1741937 at r + d_max).
     """
-    n, r2, pt, ex = len(points), radius * radius, points.T.copy(), extra.T.copy()
+    from scipy.spatial import cKDTree
+
+    n, r2 = len(points), radius * radius
+    extra = centers[n:]
+    tree = cKDTree(points)
+    pt, ex = points.T.copy(), extra.T.copy()
     big = radius * (1.0 + _ETA)
     big2 = big * big
     every = np.arange(len(extra))
-    if anchor is not None:
-        anchor = np.asarray(anchor, dtype=np.intp)
-        d2 = _sq_dists(ex, every, pt, anchor)
-        near = d2 <= r2
-    if anchor is None or not near.all():
+    anchor = np.asarray(anchors, dtype=np.intp)
+    d2 = _sq_dists(ex, every, pt, anchor)
+    near = d2 <= r2
+    if not near.all():
         anchor = tree.query(extra, k=1)[1]
         d2 = _sq_dists(ex, every, pt, anchor)
         near = d2 <= r2
@@ -870,7 +777,7 @@ def _anchored_max(tree, points, extra, density, radius: float, anchor):
     # the pair list is the largest array held; the sums below take its room
     del pairs
     # a center farther than the radius from every point has an empty ball
-    sums = np.zeros(n + len(extra))
+    sums = np.zeros(len(centers))
     sums[:n] = core + rim
     sums[n + order] = np.take(core, anchor) + fix
     padded = None

@@ -10,6 +10,7 @@ concentration tests hold its bounds and its maximum against.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import sph_harm_y
 
 
@@ -104,6 +105,13 @@ def derivative_values_by_order(tables, x, coeffs, nlon):
     h_tp = values(im * S_t) - (x / s) * u_p
     h_pp = values(im * im * S) + s * x * u_t
     return u_t, u_p, values(S_tt), h_tp, h_pp
+
+
+def tree_ball_max(points, centers, density, radius):
+    """Largest sum of density over the balls of the radius about the
+    centers, each ball listed by scipy's kd-tree."""
+    balls = cKDTree(points).query_ball_point(centers, radius)
+    return max(density[ball].sum() for ball in balls)
 
 
 def ring_ball_sums(grid, rho, pts, density, radius):

@@ -21,8 +21,9 @@ from oracles import (
     real_harmonic,
     ring_ball_sums,
     spherical_cap_area,
+    tree_ball_max,
 )
-from triheat import diagnostics, flow, mesh, radial, shapes
+from triheat import diagnostics, flow, radial, shapes
 from triheat.radial import RadialGraphState
 from triheat.spherical import GridSpec, transform_for
 
@@ -454,7 +455,7 @@ def test_spectral_concentration_equals_the_tree_ball_sum(drawn):
     pts, wts = radial.node_cloud(st)
     density = radial.curvature_bundle(st).norm_a_sq.ravel() * wts
     got = radial.concentration(st, radius)
-    want = mesh.max_ball_sum(pts, pts, density, radius)
+    want = tree_ball_max(pts, pts, density, radius)
     assert abs(got - want) <= 1e-12 * density.sum()
     assert got == diagnostics.concentration(st, radius)
 
@@ -468,13 +469,14 @@ def test_spectral_concentration_at_l128_matches_the_tree():
     sums = ring_ball_sums(st.grid, st.values, pts, density, 0.25)
     alpha = radial.concentration(st, 0.25)
     assert alpha == sums.max()
-    # the tree's self-join would list ~7e7 pairs here, so it joins the 200
-    # centers with the largest ring sums, and then a spread of others
+    # a tree self-join would list ~7e7 pairs here, so the tree takes the
+    # balls of the 200 centers with the largest ring sums, and then a
+    # spread of others
     top = np.argsort(sums)[-200:]
-    assert abs(mesh.max_ball_sum(pts, pts[top], density, 0.25) / alpha - 1.0) <= 1e-12
+    assert abs(tree_ball_max(pts, pts[top], density, 0.25) / alpha - 1.0) <= 1e-12
     sample = np.random.default_rng(7).permutation(len(pts))[:2000]
     for idx in np.array_split(sample, 4):
-        want = mesh.max_ball_sum(pts, pts[idx], density, 0.25)
+        want = tree_ball_max(pts, pts[idx], density, 0.25)
         assert abs(want / sums[idx].max() - 1.0) <= 1e-12
     balls = cKDTree(pts).query_ball_point(pts[sample], 0.25)
     want = np.array([density[ball].sum() for ball in balls])

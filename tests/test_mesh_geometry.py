@@ -271,12 +271,35 @@ def test_face_geometry_equals_the_norm_and_cross_reference(n, jitter):
     assert mesh.min_edge_length(m) == reference_min_edge_length(m)
 
 
-def test_an_open_mesh_takes_the_bincount_path():
-    # one face gone: the slots along the hole get one term each
+def _flip_first_face(f):
+    f = f.copy()
+    f[0] = f[0, ::-1]
+    return f
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [(lambda f: f[1:], "boundary"), (_flip_first_face, "directed edge")],
+    ids=["face-removed", "face-flipped"],
+)
+def test_a_mesh_that_does_not_close_up_is_rejected_with_validates_error(
+    change, message
+):
     m = shapes.icosphere(2)
-    open_mesh = TriangleMesh(m.vertices, m.faces[1:])
-    assert mesh._topology(open_mesh).pairs is None
-    assert_operators_equal_the_reference(open_mesh)
+    faces = change(m.faces)
+    with pytest.raises(ValueError, match=message) as want:
+        TriangleMesh(m.vertices, faces).validate()
+    calls = [
+        mesh.build_operators,
+        lambda b: mesh.concentration(b, 0.25),
+        diagnostics.compute_record,
+        lambda b: flow.step_mesh(b, 1e-6),
+    ]
+    for call in calls:
+        # a new mesh for each call, so none reuses another's topology
+        with pytest.raises(ValueError) as got:
+            call(TriangleMesh(m.vertices, faces))
+        assert str(got.value) == str(want.value)
 
 
 def test_topology_rejects_face_indices_out_of_range():
@@ -342,12 +365,12 @@ def test_twenty_steps_equal_steps_from_the_references():
 def test_a_mesh_on_other_faces_builds_its_own_topology():
     m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1)])
     mesh.build_operators(m)
-    # one face flipped: the same edges, but the corners move round
+    # face 0's corners cycled: the same directed edges in another array
     f = m.faces.copy()
-    f[0] = f[0, ::-1]
-    flipped = TriangleMesh(m.vertices, f)
-    assert mesh._topology(flipped) is not mesh._topology(m)
-    assert_operators_equal_the_reference(flipped)
+    f[0] = f[0, [1, 2, 0]]
+    cycled = TriangleMesh(m.vertices, f)
+    assert mesh._topology(cycled) is not mesh._topology(m)
+    assert_operators_equal_the_reference(cycled)
     # a mesh made from m by a move shares the entry, until its faces change
     moved = m.translated((0.1, 0.0, 0.0))
     assert mesh._topology(moved) is mesh._topology(m)
@@ -567,7 +590,7 @@ def test_concentration_on_coarse_meshes_matches_a_dense_sum(n, radius):
         m = TriangleMesh(m.vertices + noise, m.faces)
     want, half_edge = dense_concentration(m, radius)
     # here a midpoint lies farther than the radius from its edge's ends,
-    # so max_ball_sum anchors the midpoints at their nearest vertices
+    # so _ball_sums anchors the midpoints at their nearest vertices
     if n < 2 and radius < 0.5:
         assert half_edge > radius
     assert abs(mesh.concentration(m, radius) - want) <= 1e-12 * want
@@ -579,6 +602,8 @@ def test_concentration_rejects_bad_radius():
         mesh.concentration(m, 0.0)
     with pytest.raises(ValueError):
         mesh.concentration(m, -0.1)
+    with pytest.raises(ValueError):
+        mesh.concentration(m, float("nan"))
 
 
 def test_concentration_centers_each_edge_midpoint_once(monkeypatch):
@@ -593,9 +618,9 @@ def test_concentration_centers_each_edge_midpoint_once(monkeypatch):
     m = shapes.icosphere(2)
     n_edges = 3 * m.n_faces // 2
     mesh.concentration(m, 0.25)
-    # one face flipped: its edges now repeat a neighbour's direction
+    # face 0's corners cycled: the same mesh on another faces array
     f = m.faces.copy()
-    f[0] = f[0, ::-1]
+    f[0] = f[0, [1, 2, 0]]
     mesh.concentration(TriangleMesh(m.vertices, f), 0.25)
     assert seen == [m.n_vertices + n_edges] * 2
 
@@ -734,18 +759,28 @@ def random_cloud(seed, n):
     return rng, pts * rng.uniform(0.9, 1.1, size=(n, 1)), rng.uniform(0.0, 1.0, n)
 
 
-def assert_ball_max(points, centers, density, radius, anchors=None):
-    got = mesh.max_ball_sum(points, centers, density, radius, anchors=anchors)
+def assert_ball_max(points, centers, density, radius, anchors):
+    got, _, _ = mesh._ball_sums(points, centers, density, radius, anchors)
     want = brute_ball_max(points, centers, density, radius)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def nearest_points(points, centers):
+    """Index of each center's nearest point, by brute force."""
+    d2 = sum((centers[:, None, k] - points[None, :, k]) ** 2 for k in range(3))
+    return d2.argmin(axis=1)
+
+
+# The largest ball sum: over the points and then further centers by
+# mesh._ball_sums, the full pass of concentration, and past the diameter
+# of a mesh's vertices by concentration, which alone checks the radius
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("radius", [0.1, 0.3, 0.8])
 def test_max_ball_sum_centers_are_the_points(seed, radius):
     _, pts, dens = random_cloud(seed, 150)
-    assert_ball_max(pts, pts, dens, radius)
-    assert_ball_max(pts, pts.copy(), dens, radius)
+    assert_ball_max(pts, pts, dens, radius, np.empty(0, dtype=int))
 
 
 @pytest.mark.parametrize("seed", [4, 5])
@@ -753,62 +788,14 @@ def test_max_ball_sum_points_followed_by_extra_centers(seed):
     rng, pts, dens = random_cloud(seed, 150)
     extra = rng.uniform(-1.0, 1.0, size=(60, 3))
     # the last center's ball holds no point
-    centers = np.concatenate([pts, extra, [[0.0, 0.0, 0.0]]])
+    extra = np.concatenate([extra, [[0.0, 0.0, 0.0]]])
+    centers = np.concatenate([pts, extra])
+    anchors = nearest_points(pts, extra)
     for radius in (0.15, 0.4):
-        assert_ball_max(pts, centers, dens, radius)
+        assert_ball_max(pts, centers, dens, radius, anchors)
     # with negative densities the empty ball's sum of 0 is the largest
-    assert mesh.max_ball_sum(pts, centers, -dens, 0.4) == 0.0
-    assert_ball_max(pts, centers, -dens, 0.4)
-
-
-@pytest.mark.parametrize("seed", [6, 7])
-def test_max_ball_sum_centers_disjoint_from_points(seed):
-    rng, pts, dens = random_cloud(seed, 150)
-    centers = rng.uniform(-1.2, 1.2, size=(80, 3))
-    for radius in (0.2, 0.5):
-        assert_ball_max(pts, centers, dens, radius)
-    # the points in another order are not a prefix of the centers
-    assert_ball_max(pts, pts[::-1], dens, 0.3)
-    far = np.full((3, 3), 10.0)
-    assert mesh.max_ball_sum(pts, far, dens, 0.5) == 0.0
-
-
-def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
-    _, pts, dens = random_cloud(8, 150)
-    diameter = 2.2  # the points lie within 1.1 of the origin
-    diagonal = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
-    assert diameter < diagonal
-    radius = 0.5 * (diameter + diagonal)
-    assert_ball_max(pts, pts, dens, radius)
-    assert abs(mesh.max_ball_sum(pts, pts, dens, radius) / dens.sum() - 1.0) <= 1e-12
-
-
-@settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(
-    seed=hst.integers(0, 2**32 - 1),
-    block=hst.integers(1, 9),
-    n_extra=hst.integers(2, 60),
-    radius=hst.floats(0.05, 1.5),
-)
-def test_max_ball_sum_joins_extra_centers_block_by_block(seed, block, n_extra, radius):
-    rng, pts, dens = random_cloud(seed, 30)
-    dens = dens - 0.4  # signed, so the best ball can be any one
-    extra = rng.uniform(-1.2, 1.2, size=(max(n_extra, block + 1), 3))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mesh, "_CENTER_BLOCK", block)
-        assert_ball_max(pts, np.concatenate([pts, extra]), dens, radius)
-        assert_ball_max(pts, extra, dens, radius)
-
-
-def test_max_ball_sum_best_center_in_the_last_block():
-    rng, pts, dens = random_cloud(11, 20)
-    dens[7] = 100.0
-    centers = rng.uniform(-1.2, 1.2, size=(mesh._CENTER_BLOCK + 37, 3))
-    # only the last center's ball holds the heavy point
-    centers[np.linalg.norm(centers - pts[7], axis=1) <= 0.3] = 10.0
-    centers[-1] = pts[7]
-    assert_ball_max(pts, centers, dens, 0.3)
-    assert mesh.max_ball_sum(pts, centers, dens, 0.3) >= 100.0
+    assert mesh._ball_sums(pts, centers, -dens, 0.4, anchors)[0] == 0.0
+    assert_ball_max(pts, centers, -dens, 0.4, anchors)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -827,7 +814,9 @@ def test_max_ball_sum_extra_centers_from_their_nearest_point(
     mids = (pts[ends[:, 0]] + pts[ends[:, 1]]) / 2.0
     # some of these lie farther than the radius from every point
     free = rng.uniform(-1.6, 1.6, size=(n_free, 3))
-    assert_ball_max(pts, np.concatenate([pts, mids, free]), dens, radius)
+    extra = np.concatenate([mids, free])
+    anchors = nearest_points(pts, extra)
+    assert_ball_max(pts, np.concatenate([pts, extra]), dens, radius, anchors)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -846,15 +835,17 @@ def test_max_ball_sum_extra_centers_from_any_anchor_in_range(
     step /= np.linalg.norm(step, axis=1, keepdims=True)
     step *= radius * rng.uniform(0.0, 0.99, (n_extra, 1))
     extra = pts[rng.integers(0, len(pts), n_extra)] + step
-    # any point within the radius, as max_ball_sum measures it, not only
+    # any point within the radius, as _ball_sums measures it, not only
     # the nearest; the point the center was drawn from is one of them
     d2 = sum((extra[:, None, k] - pts[None, :, k]) ** 2 for k in range(3))
-    anchors = np.array([rng.choice(np.flatnonzero(row <= radius**2)) for row in d2])
+    anchors = np.array(
+        [rng.choice(np.flatnonzero(row <= radius**2)) for row in d2], dtype=int
+    )
     with pytest.MonkeyPatch.context() as mp:
         # pair chunks of a few pairs: some hold no shell pair at all
         mp.setattr(mesh, "_PAIR_CHUNK", chunk)
         centers = np.concatenate([pts, extra])
-        assert_ball_max(pts, centers, dens, radius, anchors=anchors)
+        assert_ball_max(pts, centers, dens, radius, anchors)
 
 
 def test_max_ball_sum_anchors_out_of_range_fall_back_to_the_nearest_point():
@@ -870,27 +861,33 @@ def test_max_ball_sum_anchors_out_of_range_fall_back_to_the_nearest_point():
     # the farthest point: out of range for every center
     anchors = dist.argmax(axis=1)
     assert (dist[np.arange(len(extra)), anchors] > radius).all()
-    assert_ball_max(pts, centers, dens, radius, anchors=anchors)
-    assert mesh.max_ball_sum(pts, centers, dens, radius, anchors=anchors) == 100.0
+    assert_ball_max(pts, centers, dens, radius, anchors)
+    assert mesh._ball_sums(pts, centers, dens, radius, anchors)[0] == 100.0
     # one center out of range is enough to fall back
     anchors = dist.argmin(axis=1)
     anchors[0] = dist[0].argmax()
-    assert_ball_max(pts, centers, dens, radius, anchors=anchors)
-    assert mesh.max_ball_sum(pts, centers, dens, radius, anchors=anchors) == 100.0
-    with pytest.raises(ValueError, match="one point per center"):
-        mesh.max_ball_sum(pts, centers, dens, radius, anchors=anchors[:-1])
+    assert_ball_max(pts, centers, dens, radius, anchors)
+    assert mesh._ball_sums(pts, centers, dens, radius, anchors)[0] == 100.0
 
 
-@pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
-def test_max_ball_sum_rejects_bad_radius(radius):
-    _, pts, dens = random_cloud(9, 20)
-    with pytest.raises(ValueError, match="radius must be positive"):
-        mesh.max_ball_sum(pts, pts, dens, radius)
+def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+    v = m.vertices
+    diameter = np.linalg.norm(v[:, None] - v[None], axis=2).max()
+    diagonal = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
+    assert diameter < diagonal
+    # past the diameter every ball covers every vertex, but concentration
+    # only skips the join past the box diagonal
+    radius = 0.5 * (diameter + diagonal)
+    want, _ = dense_concentration(m, radius)
+    got = mesh.concentration(m, radius)
+    assert abs(got - want) <= 1e-12 * want
+    assert abs(got / curvature_mass(m).sum() - 1.0) <= 1e-12
 
 
 def test_max_ball_sum_infinite_radius_covers_everything():
-    _, pts, dens = random_cloud(10, 20)
-    assert mesh.max_ball_sum(pts, pts, dens, float("inf")) == dens.sum()
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+    assert mesh.concentration(m, float("inf")) == curvature_mass(m).sum()
 
 
 # ---------------------------------------------------------------------------
