@@ -885,6 +885,13 @@ def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
     assert abs(got / curvature_mass(m).sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
+def test_max_ball_sum_rejects_bad_radius(radius):
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+    with pytest.raises(ValueError, match="radius must be positive"):
+        mesh.concentration(m, radius)
+
+
 def test_max_ball_sum_infinite_radius_covers_everything():
     m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
     assert mesh.concentration(m, float("inf")) == curvature_mass(m).sum()
