@@ -5,9 +5,10 @@ linearization about the current mean sphere implicitly, which removes
 the bandlimit^6 step-size barrier; its update keeps round spheres fixed
 to the last bit. The enclosed volume drifts by an O(dt) splitting error,
 quadratic in the perturbation amplitude. The mesh stepper is explicit
-with step rejection: a step whose largest vertex displacement exceeds
-half the minimum edge length, or which degenerates a face, is retried
-with half the step until it fits or the step budget runs out.
+with step rejection: a step that leaves a vertex non-finite, moves one
+by more than half the minimum edge length, degenerates a face or makes
+the volume sign non-positive is retried with half the step until it
+fits or the step budget runs out.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ _MAX_HALVINGS = 20
 
 def auto_dt(state, safety: float = 1.0) -> float:
     """Default step: the backend's coefficient times its length scale^6."""
+    if not 0.0 < safety < math.inf:
+        raise ValueError("safety must be positive and finite")
     b = diagnostics._backend(state)
     coeff = {"spectral": SPECTRAL_DT_COEFF, "mesh": MESH_DT_COEFF}[b.name]
     return coeff * b.scale(state) ** 6 * safety
@@ -156,7 +159,12 @@ def run(
     Records (full diagnostics plus the state itself) are kept at the
     start, every ``cadence`` accepted steps and at the end. Convergence
     is only checked at records. The last partial step is clipped so a
-    't_end' run finishes exactly at the requested time.
+    't_end' run finishes at the requested time, up to the rounding of
+    the summed steps. A rejected step halves dt, which never grows
+    again, and ``_MAX_HALVINGS + 1`` rejections in a row stop the run
+    as 'singular'. Raises ValueError unless t_end is finite and past
+    the state's time, dt (given or from ``auto_dt``) is positive and
+    finite, and cadence is a whole number of at least 1.
     """
     name = diagnostics._backend(state).name
     if name == "mesh":
@@ -167,18 +175,17 @@ def run(
         # the implicit update is stable at any dt; chart exits raise
         step, step_ok = step_spectral, lambda old, new: True
         unclamped = lambda st: True
-    if not t_end > state.time:
-        raise ValueError("t_end must exceed the state's current time")
-    if cadence < 1:
-        raise ValueError("cadence must be at least 1")
+    if not state.time < t_end < math.inf:
+        raise ValueError("t_end must be finite and exceed the state's current time")
+    if not (cadence >= 1 and cadence % 1 == 0):
+        raise ValueError("cadence must be a whole number of at least 1")
     if dt is None:
         dt = auto_dt(state, safety)
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
 
     traj = Trajectory()
-    halvings = 0
-    steps = 0
+    steps = halvings = tries = since_record = 0
     detail = None
 
     def record(st) -> bool:
@@ -187,44 +194,35 @@ def run(
         traj.entries.append(TrajectoryEntry(st.time, st, rec))
         return rec.ao_inf < stop_ao_inf and unclamped(st)
 
-    if record(state):
-        traj.stop_reason = "converged"
-    else:
-        since_record = 0
-        while True:
-            remaining = t_end - state.time
-            if remaining <= 1e-12 * max(t_end, dt):
-                traj.stop_reason = "t_end"
+    converged = record(state)
+    while not converged:
+        remaining = t_end - state.time
+        if remaining <= 1e-12 * max(t_end, dt):
+            break
+        dt_step = min(dt, remaining)
+        try:
+            new = step(state, dt_step)
+        except ChartError as exc:
+            detail = str(exc)
+            break
+        if not step_ok(state, new):
+            tries += 1
+            halvings += 1
+            if tries > _MAX_HALVINGS:
+                detail = f"step rejected {tries} times at dt={dt_step:.17g}"
                 break
-            tries = 0
-            while True:
-                dt_step = min(dt, remaining)
-                try:
-                    new = step(state, dt_step)
-                except ChartError as exc:
-                    detail = str(exc)
-                    break
-                if step_ok(state, new):
-                    break
-                tries += 1
-                halvings += 1
-                if tries > _MAX_HALVINGS:
-                    detail = f"step rejected {tries} times at dt={dt_step:.17g}"
-                    break
-                dt = dt / 2.0
-            if detail is not None:
-                traj.stop_reason = "singular"
-                break
-            state = new
-            steps += 1
-            since_record += 1
-            if since_record == cadence:
-                since_record = 0
-                if record(state):
-                    traj.stop_reason = "converged"
-                    break
-        if since_record:
-            record(state)
+            dt = dt / 2.0
+            continue
+        state, tries = new, 0
+        steps += 1
+        since_record = (since_record + 1) % cadence
+        if not since_record:
+            converged = record(state)
+    if since_record:
+        record(state)
+    traj.stop_reason = (
+        "singular" if detail is not None else "converged" if converged else "t_end"
+    )
 
     traj.meta = {
         "steps": steps,

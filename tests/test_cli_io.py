@@ -411,6 +411,27 @@ def test_simulate_singular_run_writes_its_stop_detail(tmp_path):
     assert cfgmod.parse_config(meta_path) == cfg
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [["t_end=inf"], ["dt.policy=fixed", "dt.value=inf"]],
+    ids=["t_end", "dt"],
+)
+def test_simulate_rejects_a_setting_that_runs_no_step(tmp_path, capsys, settings):
+    # either would run zero steps and write run.stop_reason = t_end
+    out = tmp_path / "run"
+    args = ["simulate", "--set", f"out.dir={out}", "--set", "shape.kind=perturbed",
+            "--set", "shape.perturb=2,0,0.01"]
+    for item in settings:
+        args += ["--set", item]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must" in err
+    assert "Traceback" not in err
+    assert not (out / "run.meta").exists()
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_simulate_usage_failures(tmp_path, capsys):
     assert main(["simulate", "--set", "bogus=1"]) == 1
     assert "bogus" in capsys.readouterr().err

@@ -160,13 +160,37 @@ def test_run_rejects_bad_configuration():
 
 @pytest.mark.parametrize(
     "kw",
-    [{"t_end": float("nan")}, {"dt": float("nan")}, {"safety": float("nan")}],
+    [
+        {"t_end": float("nan")},
+        {"dt": float("nan")},
+        {"safety": float("nan")},
+        # each of these would run zero steps and stop as 't_end'
+        {"t_end": float("inf")},
+        {"dt": float("inf")},
+        {"safety": float("inf")},
+        {"safety": 0.0},
+        {"safety": -1.0},
+        # the step count since a record never equals these, so no
+        # in-run record would be kept
+        {"cadence": 2.5},
+        {"cadence": float("nan")},
+        {"cadence": float("inf")},
+    ],
 )
 def test_run_rejects_nan_settings(kw):
     args = {"t_end": 1e-3, **kw}
     for s in (mode_state(1.0, [(2, 0, 0.01)]), shapes.icosphere(2)):
         with pytest.raises(ValueError, match="must"):
             flow.run(s, **args)
+
+
+def test_run_takes_a_whole_float_cadence():
+    s = mode_state(1.0, [(2, 0, 0.01)])
+    t_end = 5.5 * flow.auto_dt(s)
+    want = flow.run(s, t_end, cadence=2)
+    got = flow.run(s, t_end, cadence=2.0)
+    assert len(got.records) == 4
+    assert repr(got.records) == repr(want.records)
 
 
 def test_sphere_run_converges_immediately():
@@ -248,6 +272,23 @@ def test_mesh_run_reports_singular_when_dt_cannot_recover():
     assert len(traj.entries) >= 1
     assert traj.records[-1].alpha > 0.0
     traj.final_state.validate()
+
+
+def test_mesh_run_recovers_after_halving():
+    # dt = 1000 auto_dt is rejected until halvings bring it near auto_dt,
+    # after which the run goes on at that dt to t_end
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05)])
+    a = flow.auto_dt(m)
+    dt, cadence, t_end = 1000 * a, 4, m.time + 2000 * a
+    traj = flow.run(m, t_end, dt=dt, cadence=cadence)
+    assert traj.stop_reason == "t_end"
+    halvings, steps = traj.meta["halvings"], traj.meta["steps"]
+    assert 1 <= halvings <= flow._MAX_HALVINGS
+    assert traj.meta["dt_final"] == dt / 2**halvings
+    # the summed steps round just short of t_end, inside the 1e-12
+    # relative remainder at which a run stops
+    assert abs(traj.final_state.time - t_end) <= 1e-12 * t_end
+    assert len(traj.records) == steps // cadence + 1 + (steps % cadence > 0)
 
 
 def test_singular_runs_explain_their_stop():
