@@ -112,6 +112,8 @@ def _cmd_simulate(args) -> int:
         mesh_path=cfg.mesh or None,
     )
     dt = None if cfg.dt_policy == "auto" else cfg.dt_value
+    # the checks of flow.run, before anything is written
+    flow._checked_dt(state, cfg.t_end, dt, cfg.safety, cfg.cadence, cfg.stop_ao_inf)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     _save_state(state, os.path.join(cfg.out_dir, "state_initial"), add_suffix=True)

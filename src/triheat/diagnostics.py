@@ -148,6 +148,7 @@ class _Backend(NamedTuple):
     scale: Callable  # state -> length that sets the step: mean radius, min edge
     rescaled: Callable  # (state, factor, center) -> (state - center) / factor
     save: Callable  # (state, path)
+    forget: Callable  # state -> None: drop cached fields that rebuild bit for bit
     suffix: str
 
 
@@ -196,6 +197,7 @@ def _backend(state) -> _Backend:
             scale=RadialGraphState.mean_radius,
             rescaled=_graph_rescaled,
             save=lambda s, path: spherical.write_coeffs_csv(s.coeffs, path),
+            forget=RadialGraphState.forget_fields,
             suffix=".csv",
         )
     if isinstance(state, TriangleMesh):
@@ -215,6 +217,7 @@ def _backend(state) -> _Backend:
             scale=mesh_mod.min_edge_length,
             rescaled=_mesh_rescaled,
             save=mesh_mod.save_obj,
+            forget=TriangleMesh.forget_fields,
             suffix=".obj",
         )
     raise TypeError(f"no backend for {type(state).__name__}")

@@ -115,6 +115,14 @@ class TrajectoryEntry:
 class Trajectory:
     """Recorded states and diagnostics of one run.
 
+    Each entry keeps its state's coordinates (coefficients and grid
+    values, or vertices) but not the fields cached on it: the run drops
+    those once it steps past a record, so a long run grows by about the
+    coordinates per record. The final entry keeps its cache. A query on
+    a recorded state rebuilds its fields to the bits the record was
+    computed from; a mesh keeps its concentration value, which a fresh
+    pass could change in the last bits.
+
     ``stop_reason`` is 'converged' (sup |A*| fell below the stop
     threshold at a record; on a mesh only at a record where no vertex
     had |A*|^2 = H^2/2 - 2K clamped at zero, since a clamped zero says
@@ -145,6 +153,22 @@ class Trajectory:
         return np.array([e.time for e in self.entries])
 
 
+def _checked_dt(state, t_end, dt, safety, cadence, stop_ao_inf) -> float:
+    """The step of a run from these settings; ValueError for a setting
+    that would run no step or keep no in-run record (see ``run``)."""
+    if not state.time < t_end < math.inf:
+        raise ValueError("t_end must be finite and exceed the state's current time")
+    if not (cadence >= 1 and cadence % 1 == 0):
+        raise ValueError("cadence must be a whole number of at least 1")
+    if not abs(stop_ao_inf) < math.inf:
+        raise ValueError("stop_ao_inf must be finite")
+    if dt is None:
+        dt = auto_dt(state, safety)
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    return dt
+
+
 def run(
     state,
     t_end: float,
@@ -164,10 +188,15 @@ def run(
     again, and ``_MAX_HALVINGS + 1`` rejections in a row stop the run
     as 'singular'. Raises ValueError unless t_end is finite and past
     the state's time, dt (given or from ``auto_dt``) is positive and
-    finite, and cadence is a whole number of at least 1.
+    finite, cadence is a whole number of at least 1 and stop_ao_inf is
+    finite.
+
+    A recorded state drops its cached fields (``Trajectory``) once the
+    run steps past it; so does the given state, which is the first
+    record, after the first accepted step.
     """
-    name = diagnostics._backend(state).name
-    if name == "mesh":
+    backend = diagnostics._backend(state)
+    if backend.name == "mesh":
         state.validate()
         step, step_ok = step_mesh, _mesh_step_ok
         unclamped = lambda m: mesh_mod.tracefree_norm_sq(m)[1] == 0
@@ -175,14 +204,7 @@ def run(
         # the implicit update is stable at any dt; chart exits raise
         step, step_ok = step_spectral, lambda old, new: True
         unclamped = lambda st: True
-    if not state.time < t_end < math.inf:
-        raise ValueError("t_end must be finite and exceed the state's current time")
-    if not (cadence >= 1 and cadence % 1 == 0):
-        raise ValueError("cadence must be a whole number of at least 1")
-    if dt is None:
-        dt = auto_dt(state, safety)
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be positive and finite")
+    dt = _checked_dt(state, t_end, dt, safety, cadence, stop_ao_inf)
 
     traj = Trajectory()
     steps = halvings = tries = since_record = 0
@@ -213,6 +235,8 @@ def run(
                 break
             dt = dt / 2.0
             continue
+        if state is traj.entries[-1].state:
+            backend.forget(state)
         state, tries = new, 0
         steps += 1
         since_record = (since_record + 1) % cadence
@@ -228,7 +252,7 @@ def run(
         "steps": steps,
         "halvings": halvings,
         "dt_final": dt,
-        "backend": name,
+        "backend": backend.name,
     }
     if detail is not None:
         traj.meta["stop_detail"] = f"t={state.time:.17g}: {detail}"

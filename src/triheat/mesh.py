@@ -101,8 +101,9 @@ class TriangleMesh:
         Checks: indices in range, every vertex used, no degenerate or
         repeated directed edges, every directed edge matched by its
         reverse (closed, consistently oriented, manifold), Euler
-        characteristic 2, and a positive enclosed volume (faces oriented
-        outward).
+        characteristic 2, finite face geometry (squared edge lengths,
+        corner dots, areas and volume), no zero-area face, and a positive
+        enclosed volume (faces oriented outward).
         """
         v, f = self.vertices, self.faces
         if not np.all(np.isfinite(v)):
@@ -123,12 +124,31 @@ class TriangleMesh:
         euler = len(v) - len(topo.edges) + len(f)
         if euler != 2:
             raise ValueError(f"Euler characteristic {euler}, expected 2 (sphere)")
-        if _faces(self).dbl_areas.min() <= 0.0:
+        # large coordinates overflow: the squared areas are fourth powers
+        # of them, the volume terms cubes
+        with np.errstate(over="ignore", invalid="ignore"):
+            geo = _faces(self)
+            volume = signed_volume(self)
+        fields = (geo.sq_lengths, geo.dots, geo.dbl_areas, volume)
+        if not all(np.isfinite(x).all() for x in fields):
+            raise ValueError("mesh face geometry overflows to a non-finite value")
+        if geo.dbl_areas.min() <= 0.0:
             raise ValueError("mesh has zero-area faces")
-        if signed_volume(self) <= 0.0:
+        if volume <= 0.0:
             raise ValueError(
                 "mesh faces are oriented inward; the enclosed volume is not positive"
             )
+
+    def forget_fields(self) -> None:
+        """Drop the cached geometry, operators and curvatures.
+
+        The next query rebuilds them from the vertices, to the same bits.
+        The concentration values stay: one certified from the shared memo
+        (:func:`concentration`) can differ in the last bits from a fresh
+        full pass, so only the cached value keeps a record's bits.
+        """
+        # the concentration keys are the only tuples, ("alpha", radius)
+        self._cache = {k: v for k, v in self._cache.items() if isinstance(k, tuple)}
 
     def translated(self, offset) -> "TriangleMesh":
         return self._moved(self.vertices + np.asarray(offset, float), self.time)

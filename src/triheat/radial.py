@@ -115,6 +115,11 @@ class RadialGraphState:
         self.time = float(time)
         self._geo = None
 
+    def forget_fields(self) -> None:
+        """Drop the cached metric and shape fields; the next query rebuilds
+        them from the coefficients, to the same bits."""
+        self._geo = None
+
     def mean_radius(self) -> float:
         """Degree-zero radius, (4 pi)^{-1/2} c_00."""
         L = self.grid.bandlimit

@@ -15,6 +15,7 @@ from hypothesis import strategies as hst
 from triheat import config as cfgmod
 from triheat import diagnostics, mesh, shapes, spherical
 from triheat.cli import main
+from triheat.mesh import TriangleMesh
 from triheat.spherical import transform_for
 
 SQRT4PI = np.sqrt(4.0 * np.pi)
@@ -413,11 +414,13 @@ def test_simulate_singular_run_writes_its_stop_detail(tmp_path):
 
 @pytest.mark.parametrize(
     "settings",
-    [["t_end=inf"], ["dt.policy=fixed", "dt.value=inf"]],
-    ids=["t_end", "dt"],
+    [["t_end=inf"], ["dt.policy=fixed", "dt.value=inf"], ["safety=inf"],
+     ["stop.ao_inf=inf"]],
+    ids=["t_end", "dt", "safety", "stop_ao_inf"],
 )
 def test_simulate_rejects_a_setting_that_runs_no_step(tmp_path, capsys, settings):
-    # either would run zero steps and write run.stop_reason = t_end
+    # each would run zero steps and write run.stop_reason = t_end or
+    # converged; flow.run's checks run before anything is written
     out = tmp_path / "run"
     args = ["simulate", "--set", f"out.dir={out}", "--set", "shape.kind=perturbed",
             "--set", "shape.perturb=2,0,0.01"]
@@ -428,8 +431,21 @@ def test_simulate_rejects_a_setting_that_runs_no_step(tmp_path, capsys, settings
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must" in err
     assert "Traceback" not in err
-    assert not (out / "run.meta").exists()
-    assert not (out / "diagnostics.csv").exists()
+    assert not out.exists()
+
+
+def test_simulate_rejects_an_obj_whose_face_geometry_overflows(tmp_path, capsys):
+    src = tmp_path / "huge.obj"
+    m = shapes.icosphere(1)
+    mesh.save_obj(TriangleMesh(1e200 * m.vertices, m.faces), src)
+    out = tmp_path / "run"
+    rc = main(["simulate", "--set", f"out.dir={out}", "--set", "backend=mesh",
+               "--set", "shape.kind=obj", "--set", f"mesh={src}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite" in err
+    assert not out.exists()
 
 
 def test_simulate_usage_failures(tmp_path, capsys):

@@ -5,6 +5,8 @@ self-refinement in dt, and conservation/dissipation identities checked
 on recorded trajectories.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,10 @@ def test_run_rejects_bad_configuration():
         {"cadence": 2.5},
         {"cadence": float("nan")},
         {"cadence": float("inf")},
+        # an infinite threshold stops the run at its first record, and a
+        # nan one never fires
+        {"stop_ao_inf": float("inf")},
+        {"stop_ao_inf": float("nan")},
     ],
 )
 def test_run_rejects_nan_settings(kw):
@@ -413,6 +419,70 @@ def test_a_mesh_run_builds_its_topology_once():
     topo = mesh._topology(m)
     assert all(e.state._topology is topo for e in traj.entries)
     assert flow.rescale(traj.final_state, 2.0)._topology is topo
+
+
+# ---------------------------------------------------------------------------
+# run memory: a recorded state drops its cached fields once stepped past
+# ---------------------------------------------------------------------------
+
+
+def cached_fields(st):
+    """What a state caches besides its coordinates."""
+    if isinstance(st, TriangleMesh):
+        return set(st._cache)
+    return set() if st._geo is None else set(st._geo)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        mode_state(1.0, [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]),
+        shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]),
+    ],
+    ids=["spectral", "mesh"],
+)
+def test_a_run_keeps_the_fields_of_its_final_record_only(state):
+    traj = flow.run(state, 20 * flow.auto_dt(state), cadence=5)
+    assert len(traj.entries) == 5
+    assert traj.entries[0].state is state
+    # a mesh keeps its concentration value, which need not match a fresh
+    # pass to the last bit
+    kept = {("alpha", 0.25)} if isinstance(state, TriangleMesh) else set()
+    for e in traj.entries[:-1]:
+        assert cached_fields(e.state) == kept
+    assert len(cached_fields(traj.final_state)) > len(kept)
+    # asked again, every recorded state gives back its record's bits
+    for e in traj.entries:
+        got = diagnostics.compute_record(e.state)
+        assert got.as_tuple() == e.record.as_tuple()
+
+
+def test_a_record_retains_about_its_coordinates():
+    s = mode_state(1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+    dt = flow.auto_dt(s)
+    flow.run(s, 4 * dt, dt=dt)  # builds the transform tables
+
+    def retained(cadence):
+        # the run's own state: fresh, so its first record is part of it
+        st = mode_state(1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = flow.run(st, 40 * dt, dt=dt, cadence=cadence)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return held, len(traj.entries)
+
+    few, n_few = retained(20)
+    many, n_many = retained(2)
+    assert (n_few, n_many) == (3, 21)
+    per_record = (many - few) / (n_many - n_few)
+    # the coefficients and the grid values: (L+1)(2L+1) + nlat * nlon
+    # doubles, 15.3 kB at L=16; with its cached fields a record held
+    # 225 kB
+    coords = 8 * (s.coeffs.size + s.values.size)
+    assert coords <= per_record <= 1.25 * coords
 
 
 # ---------------------------------------------------------------------------

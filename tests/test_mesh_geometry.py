@@ -130,6 +130,13 @@ def test_validate_rejects_inward_orientation():
         shapes.generate("sphere", "mesh", subdivisions=1, radius=-1.0)
 
 
+def test_validate_rejects_face_geometry_that_overflows():
+    # finite vertices whose squared edge lengths, areas and volume do not
+    # fit in a double: each check against zero is False for nan
+    with pytest.raises(ValueError, match="non-finite"):
+        shapes.generate("sphere", "mesh", subdivisions=1, radius=1e200)
+
+
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------
