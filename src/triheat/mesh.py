@@ -21,16 +21,23 @@ np.einsum("ij,ij->i", a, b) does on C-ordered arrays.
 
 scipy is imported where it is used, so only the mesh backend loads it:
 scipy.sparse in _topology and build_operators, which build the sparse
-matrices, and scipy.spatial in _ball_sums, for the kd-tree.
+matrices, and scipy.spatial in _task_pairs, for the kd-tree joins of
+concentration's full pass, and in _ball_sums, for its nearest-point
+fallback. The joins run on a pool of at most two threads, made with its
+module on the first full pass.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     import scipy.sparse as sp
 
 __all__ = [
@@ -600,8 +607,8 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
 # cap below and the others settle 740 to 920.
 _ETA = 1e-3
 # Centers that a certified state settles at most. One exact sum takes
-# about 1/3400 of a full pass at 20480 faces (44 us against 150 ms), so
-# settling this many costs under a third of one.
+# about 1/2500 of a full pass at 20480 faces (27 us against 68 ms), so
+# settling this many costs under half of one.
 _SETTLE_CAP = 1024
 # centers of largest bound whose exact sums set the first lower bound
 _TOP = 8
@@ -672,7 +679,7 @@ def _exact_sums(points, centers, density, radius: float) -> np.ndarray:
     """Ball sums of a few centers over all the points, blocks of centers
     at a time, by the squared-difference test of the full pass."""
     pt, r2 = points.T.copy(), radius * radius
-    block = max(_PAIR_CHUNK // len(points), 1)
+    block = max(_TEST_BLOCK // len(points), 1)
     out = np.empty(len(centers))
     for start in range(0, len(centers), block):
         c = centers[start : start + block]
@@ -685,9 +692,47 @@ def _exact_sums(points, centers, density, radius: float) -> np.ndarray:
     return out
 
 
-# pairs of the widened self-join reduced at once in _ball_sums, and
-# center-point tests held at once in _exact_sums
-_PAIR_CHUNK = 65536
+# center-point tests held at once in _exact_sums; a center's sum depends
+# on how many centers share its block
+_TEST_BLOCK = 65536
+# pairs of the widened self-join reduced at once in _ball_sums. Each
+# thread frees its temporaries into an allocator arena of its own: at
+# 65536 the pass at 20480 faces faulted in about twice the pages and
+# raised maxrss by 8 MB more
+_PAIR_CHUNK = 32768
+# _ball_sums cuts a cell of the points in two while it holds more than
+# this many: one cell for small clouds, 8 at 20480 faces
+_CELL = 2048
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, which inherits none of its
+    threads: it would wait on them for ever."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The threads that run _ball_sums' tasks, made on first use: two, or
+    one where the process may run on one core only."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            if hasattr(os, "sched_getaffinity"):
+                cores = len(os.sched_getaffinity(0))
+            else:
+                cores = os.cpu_count() or 1
+            _POOL = ThreadPoolExecutor(min(2, cores))
+        return _POOL
 
 
 def _sq_dists(p, i, q, j) -> np.ndarray:
@@ -707,6 +752,48 @@ def _split(d2, r2: float, big2: float):
     tests."""
     inside = d2 <= r2
     return inside, np.flatnonzero(inside != (d2 <= big2))
+
+
+def _tasks(points, reach: float, cell=None) -> list:
+    """Joins that between them list every pair of points within reach once.
+
+    The cell, all the points by default, is cut at the median of its
+    widest coordinate, and each half again while it holds more than _CELL
+    points. A leaf ``(cell, None)`` joins its points with each other. A cut
+    ``(low, high)`` joins the points of each half that lie within reach of
+    the other half in that coordinate: a pair is listed by the cut that
+    parts its ends, or by the leaf that holds both. The list is in a fixed
+    order, so the sums made from it do not depend on how it is run.
+    """
+    if cell is None:
+        cell = np.arange(len(points))
+    if len(cell) <= _CELL:
+        return [(cell, None)]
+    x = np.take(points, cell, axis=0)
+    k = np.argmax(x.max(axis=0) - x.min(axis=0))
+    order = np.argsort(x[:, k], kind="stable")
+    c, half = x[order, k], len(cell) // 2
+    low, high = np.take(cell, order[:half]), np.take(cell, order[half:])
+    # a pair across the cut differs by at most reach in coordinate k; a
+    # rounded difference is no larger than reach when the exact one is not
+    band = (low[c[half] - c[:half] <= reach], high[c[half:] - c[half - 1] <= reach])
+    cut = [band] if len(band[0]) and len(band[1]) else []
+    return cut + _tasks(points, reach, low) + _tasks(points, reach, high)
+
+
+def _task_pairs(points, task, reach: float):
+    """The pairs within reach that one of _tasks' joins lists, as (i, j,
+    low, high): the pair t is points low[i[t]] and high[j[t]]."""
+    from scipy.spatial import cKDTree
+
+    low, high = task
+    tree = cKDTree(np.take(points, low, axis=0))
+    if high is None:
+        pairs = tree.query_pairs(reach, output_type="ndarray")
+        return pairs[:, 0], pairs[:, 1], low, low
+    other = cKDTree(np.take(points, high, axis=0))
+    join = tree.sparse_distance_matrix(other, reach, output_type="ndarray")
+    return join["i"], join["j"], low, high
 
 
 def _ball_sums(points, centers, density, radius: float, anchors):
@@ -730,18 +817,18 @@ def _ball_sums(points, centers, density, radius: float, anchors):
     anchor's core sum within r - d_max, which B(c) holds too, p itself
     included, and the shell pairs beyond: c adds the shell points inside
     B(c) to its anchor's core. The join reaches r (1 + _ETA) + d_max,
-    for the padded sums, and is reduced ``_PAIR_CHUNK`` pairs at a time,
-    each shell pair tested once against every center of its anchor. On
-    the 20480-face ``mesh_20k`` benchmark state (seed 1) at r = 0.25,
-    with the edge-end anchors of :func:`concentration`, that is 966352
-    join pairs, 292118 in the shell and 1753490 distance tests (964384,
-    290150 and 1741937 at r + d_max).
+    for the padded sums. It is split into the independent joins of
+    :func:`_tasks`, which run on :func:`_pool`'s threads. Each reduces
+    its pairs ``_PAIR_CHUNK`` at a time into sums of its own, each shell
+    pair tested once against every center of its anchor, and the sums
+    are added in the order of the list, so the bits do not depend on the
+    thread count. On the 20480-face ``mesh_20k`` benchmark state (seed
+    1) at r = 0.25, with the edge-end anchors of :func:`concentration`,
+    that is 15 joins (8 cells and 7 cuts) listing 966352 pairs, 292118
+    in the shell, and 1753490 distance tests.
     """
-    from scipy.spatial import cKDTree
-
     n, r2 = len(points), radius * radius
     extra = centers[n:]
-    tree = cKDTree(points)
     pt, ex = points.T.copy(), extra.T.copy()
     big = radius * (1.0 + _ETA)
     big2 = big * big
@@ -750,52 +837,66 @@ def _ball_sums(points, centers, density, radius: float, anchors):
     d2 = _sq_dists(ex, every, pt, anchor)
     near = d2 <= r2
     if not near.all():
-        anchor = tree.query(extra, k=1)[1]
+        from scipy.spatial import cKDTree
+
+        anchor = cKDTree(points).query(extra, k=1)[1]
         d2 = _sq_dists(ex, every, pt, anchor)
         near = d2 <= r2
     # the centers of anchor p become first[p], ..., first[p] + cnt[p] - 1
     order = every[near][np.argsort(anchor[near], kind="stable")]
     anchor, ex = anchor[order], ex[:, order]
+    m = len(anchor)
     cnt = np.bincount(anchor, minlength=n)
     first = np.cumsum(cnt) - cnt
     d_max = np.sqrt(d2[near].max(initial=0.0))
     # both bounds moved out by a relative 1e-12 against rounding
     inner2 = max(radius * (1.0 - 1e-12) - d_max, 0.0) ** 2
-    pairs = tree.query_pairs((big + d_max) * (1.0 + 1e-12), output_type="ndarray")
-    core, rim, fix = density.copy(), np.zeros(n), np.zeros(len(anchor))
-    # the mass beyond the radius but within big: the few tests that land
-    # in that thin shell are gathered apart
-    rim_out, fix_out = np.zeros(n), np.zeros(len(anchor))
-    for start in range(0, len(pairs), _PAIR_CHUNK):
-        # contiguous copies: gathers through the strided columns of pairs
-        # take about twice as long
-        a, b = pairs[start : start + _PAIR_CHUNK].T.copy()
-        d2 = _sq_dists(pt, a, pt, b)
-        wa, wb = np.take(density, a), np.take(density, b)
-        inn = d2 <= inner2
-        core += np.bincount(a, wb * inn, n)
-        core += np.bincount(b, wa * inn, n)
-        # the shell pairs both ways round, as (anchor p, point x) of weight w
-        s = np.flatnonzero(~inn)
-        sa, sb = np.take(a, s), np.take(b, s)
-        p, x = np.concatenate([sa, sb]), np.concatenate([sb, sa])
-        w = np.concatenate([np.take(wb, s), np.take(wa, s)])
-        inside, out = _split(np.take(d2, s), r2, big2)
-        rim += np.bincount(p, w * np.tile(inside, 2), n)
-        out = np.concatenate([out, out + len(s)])
-        rim_out += np.bincount(np.take(p, out), np.take(w, out), n)
-        # every pair once per center of its anchor: pair e[t] and center k[t]
-        c = np.take(cnt, p)
-        e = np.repeat(np.arange(len(p)), c)
-        k = np.take(np.take(first, p) - (np.cumsum(c) - c), e)
-        k += np.arange(len(e))
-        we = np.take(w, e)
-        inside, out = _split(_sq_dists(pt, np.take(x, e), ex, k), r2, big2)
-        fix_out += np.bincount(np.take(k, out), np.take(we, out), len(fix))
-        we *= inside
-        fix += np.bincount(k, we, len(fix))
-    # the pair list is the largest array held; the sums below take its room
-    del pairs
+    reach = (big + d_max) * (1.0 + 1e-12)
+    # core, rim, rim_out, fix, fix_out of concentration's sums, back to back
+    cuts = [n, 2 * n, 3 * n, 3 * n + m]
+
+    def reduce(task) -> np.ndarray:
+        i, j, low, high = _task_pairs(points, task, reach)
+        part = np.zeros(3 * n + 2 * m)
+        core, rim, rim_out, fix, fix_out = np.split(part, cuts)
+        for start in range(0, len(i), _PAIR_CHUNK):
+            # the join's indices mapped a chunk at a time: mapping them all
+            # at once made a copy of every pair, faulted in afresh by each pass
+            a = np.take(low, i[start : start + _PAIR_CHUNK])
+            b = np.take(high, j[start : start + _PAIR_CHUNK])
+            d2 = _sq_dists(pt, a, pt, b)
+            wa, wb = np.take(density, a), np.take(density, b)
+            inn = d2 <= inner2
+            core += np.bincount(a, wb * inn, n)
+            core += np.bincount(b, wa * inn, n)
+            # the shell pairs both ways round, as (anchor p, point x) of weight w
+            s = np.flatnonzero(~inn)
+            sa, sb = np.take(a, s), np.take(b, s)
+            p, x = np.concatenate([sa, sb]), np.concatenate([sb, sa])
+            w = np.concatenate([np.take(wb, s), np.take(wa, s)])
+            # the mass beyond the radius but within big: the few tests that
+            # land in that thin shell are gathered apart
+            inside, out = _split(np.take(d2, s), r2, big2)
+            rim += np.bincount(p, w * np.tile(inside, 2), n)
+            out = np.concatenate([out, out + len(s)])
+            rim_out += np.bincount(np.take(p, out), np.take(w, out), n)
+            # every pair once per center of its anchor: pair e[t] and center k[t]
+            c = np.take(cnt, p)
+            e = np.repeat(np.arange(len(p)), c)
+            k = np.take(np.take(first, p) - (np.cumsum(c) - c), e)
+            k += np.arange(len(e))
+            we = np.take(w, e)
+            inside, out = _split(_sq_dists(pt, np.take(x, e), ex, k), r2, big2)
+            fix_out += np.bincount(np.take(k, out), np.take(we, out), m)
+            we *= inside
+            fix += np.bincount(k, we, m)
+        return part
+
+    total = np.zeros(3 * n + 2 * m)
+    total[:n] = density
+    for part in _pool().map(reduce, _tasks(points, reach)):
+        total += part
+    core, rim, rim_out, fix, fix_out = np.split(total, cuts)
     # a center farther than the radius from every point has an empty ball
     sums = np.zeros(len(centers))
     sums[:n] = core + rim

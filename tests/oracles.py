@@ -114,6 +114,24 @@ def tree_ball_max(points, centers, density, radius):
     return max(density[ball].sum() for ball in balls)
 
 
+def dense_ball_sums(points, centers, density, radius, block=256):
+    """Sum of density over the ball of the radius about every center.
+
+    Every center is tested against every point, a block of centers at a
+    time, by ((c - x) ** 2).sum() <= radius ** 2 with the coordinates
+    added in order x, y, z.
+    """
+    r2 = radius * radius
+    out = np.empty(len(centers))
+    for start in range(0, len(centers), block):
+        c = centers[start : start + block]
+        d2 = (c[:, None, 0] - points[None, :, 0]) ** 2
+        d2 += (c[:, None, 1] - points[None, :, 1]) ** 2
+        d2 += (c[:, None, 2] - points[None, :, 2]) ** 2
+        out[start : start + block] = np.where(d2 <= r2, density, 0.0).sum(axis=1)
+    return out
+
+
 def ring_ball_sums(grid, rho, pts, density, radius):
     """Sum of density over the ball of the radius about every grid node.
 

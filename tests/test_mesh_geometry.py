@@ -5,13 +5,20 @@ cap areas for concentration, and exact combinatorial identities
 (Gauss-Bonnet, orientation flip, translation invariance).
 """
 
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from oracles import ellipsoid_curvatures, spherical_cap_area
+from oracles import dense_ball_sums, ellipsoid_curvatures, spherical_cap_area
 from triheat import diagnostics, flow, mesh, shapes
 from triheat.mesh import TriangleMesh
 
@@ -890,6 +897,144 @@ def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
     got = mesh.concentration(m, radius)
     assert abs(got - want) <= 1e-12 * want
     assert abs(got / curvature_mass(m).sum() - 1.0) <= 1e-12
+
+
+# The full pass as independent spatial joins on a pool of threads
+
+
+def split_cloud(seed, n):
+    """A signed density on a cloud of n points and further centers: edge-
+    midpoint-like centers anchored at a point within the radius, then
+    centers that lie farther than the radius from every point."""
+    rng, pts, dens = random_cloud(seed, n)
+    # every point and its nearest neighbour
+    dist, ends = cKDTree(pts).query(pts, k=2)
+    near = dist[:, 1] <= 0.2
+    mids = (pts[ends[near, 0]] + pts[ends[near, 1]]) / 2.0
+    free = rng.uniform(-0.3, 0.3, size=(20, 3))
+    return pts, dens - 0.4, mids, ends[near, 0], free
+
+
+def depth(tasks):
+    """Cuts between the whole cloud and its deepest leaf of mesh._tasks."""
+    return int(np.log2(sum(high is None for _, high in tasks)))
+
+
+def test_split_ball_sums_equal_a_dense_sum(monkeypatch):
+    radius = 0.1
+    pts, dens, mids, anchors, free = split_cloud(21, 3000)
+    assert len(mids) > 2900
+    # cells of at most 256 points: the cloud is cut four levels deep
+    monkeypatch.setattr(mesh, "_CELL", 256)
+    assert depth(mesh._tasks(pts, radius)) >= 3
+    centers = np.concatenate([pts, mids])
+    best, sums, padded = mesh._ball_sums(pts, centers, dens, radius, anchors)
+    scale = 1e-12 * np.abs(dens).sum()
+    assert np.abs(sums - dense_ball_sums(pts, centers, dens, radius)).max() <= scale
+    big = radius * (1.0 + mesh._ETA)
+    assert np.abs(padded - dense_ball_sums(pts, centers, dens, big)).max() <= scale
+    want = dense_ball_sums(pts, centers, dens, radius).max()
+    assert abs(best - want) <= 1e-12 * abs(want)
+    # centers farther than the radius from their named point and from
+    # every point: the nearest-point fallback, with empty balls
+    centers = np.concatenate([pts, mids, free])
+    wrong = np.concatenate([anchors[::-1], np.zeros(len(free), dtype=int)])
+    assert np.linalg.norm(mids - pts[anchors[::-1]], axis=1).max() > radius
+    best, sums, padded = mesh._ball_sums(pts, centers, dens, radius, wrong)
+    assert padded is None
+    assert np.abs(sums - dense_ball_sums(pts, centers, dens, radius)).max() <= scale
+    want = dense_ball_sums(pts, centers, dens, radius).max()
+    assert abs(best - want) <= 1e-12 * abs(want)
+
+
+def test_split_ball_sums_do_not_depend_on_the_thread_count(monkeypatch):
+    v, a = MEMO_MESH.vertices, mesh._topology(MEMO_MESH).edges[:, 0]
+    # MEMO_MESH's 2562 vertices are cut once at the default cell size
+    assert len(mesh._tasks(v, 0.3)) == 3
+    args = (v, centers_of(v, MEMO_MESH), curvature_mass(MEMO_MESH), 0.25, a)
+    default = mesh._ball_sums(*args)
+    with ThreadPoolExecutor(1) as one:
+        monkeypatch.setattr(mesh, "_POOL", one)
+        alone = mesh._ball_sums(*args)
+    assert default[0] == alone[0]
+    assert default[1].tobytes() == alone[1].tobytes()
+    assert default[2].tobytes() == alone[2].tobytes()
+
+
+def test_split_ball_sums_from_concurrent_callers_keep_their_bits(monkeypatch):
+    pts, dens, mids, anchors, _ = split_cloud(22, 1500)
+    monkeypatch.setattr(mesh, "_CELL", 128)
+    args = (pts, np.concatenate([pts, mids]), dens, 0.1, anchors)
+    want = mesh._ball_sums(*args)[1].tobytes()
+    got = []
+
+    def call():
+        for _ in range(3):
+            got.append(mesh._ball_sums(*args)[1].tobytes())
+
+    # more callers than the pool has threads, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [want] * 12
+
+
+def alpha_into(queue, m):
+    queue.put(mesh.concentration(m, 0.25))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_runs_its_own_pool():
+    m = shapes.perturbed_sphere_mesh(4, 1.0, THREE_MODES)
+    want = mesh.concentration(fresh_copy(m), 0.25)
+    # the child inherits the pool but none of its threads
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=alpha_into, args=(queue, fresh_copy(m)), daemon=True)
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+        child.join(timeout=60)
+        assert not child.is_alive()
+    finally:
+        child.kill()
+    assert got == want
+
+
+class TaskFailed(Exception):
+    pass
+
+
+def test_a_failing_task_raises_from_concentration(monkeypatch):
+    m = shapes.perturbed_sphere_mesh(4, 1.0, THREE_MODES)
+    pairs = mesh._task_pairs
+    seen = []
+
+    def fail_second(points, task, reach):
+        seen.append(1)
+        if len(seen) == 2:
+            raise TaskFailed("second join")
+        return pairs(points, task, reach)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mesh, "_task_pairs", fail_second)
+        with pytest.raises(TaskFailed, match="second join"):
+            mesh.concentration(fresh_copy(m), 0.25)
+    # the pool still runs every task of a later pass
+    out = []
+    done = threading.Thread(target=lambda: out.append(mesh.concentration(m, 0.25)))
+    done.start()
+    done.join(timeout=120)
+    assert not done.is_alive()
+    assert out == [mesh.concentration(fresh_copy(m), 0.25)]
 
 
 @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
