@@ -302,12 +302,14 @@ def _topology(mesh: TriangleMesh) -> _Topology:
 class _FaceGeometry(NamedTuple):
     """Face geometry on coordinate rows: x, y and z each one contiguous row.
 
-    ``corners`` and ``normals`` are (F, 3) views of (3, F) rows, so
-    ``.T`` gives the rows back without a copy. Edge k, e_k, faces corner
-    k: e0 = p2 - p1, e1 = p0 - p2, e2 = p1 - p0.
+    ``normals`` is an (F, 3) view of (3, F) rows, so ``.T`` gives the rows
+    back without a copy. Edge k, e_k, faces corner k: e0 = p2 - p1,
+    e1 = p0 - p2, e2 = p1 - p0.
     """
 
-    corners: tuple  # p0, p1, p2
+    # (3, F): corner 0 alone, which the step's volume-sign check reads;
+    # signed_volume gathers all three corners again
+    p0: np.ndarray
     lengths: np.ndarray  # (3, F): |e0|, |e1|, |e2|, summed (x0 + x1) + x2
     sq_lengths: np.ndarray  # (3, F): |e_k|^2 summed (x0 + x2) + x1
     dots: np.ndarray  # (3, F): at corner k, the dot of the two edges leaving it
@@ -348,22 +350,31 @@ def _row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _corner_rows(mesh: TriangleMesh):
+    """p0, p1, p2: the three corners of every face as (3, F) coordinate rows."""
+    corners = _topology(mesh).corners
+    F = mesh.n_faces
+    vt = mesh.vertices.T.copy()
+    # p[c][k]: coordinate k of corner c of every face, each corner an array
+    # of its own, so that one can be kept without the others. The topology
+    # has checked the indices, and a take into out= that may raise buffers
+    p = tuple(np.empty((3, F)) for _ in range(3))
+    for k in range(3):
+        for c in range(3):
+            np.take(vt[k], corners[c * F : (c + 1) * F], out=p[c][k], mode="clip")
+    return p
+
+
 def _faces(mesh: TriangleMesh) -> _FaceGeometry:
     """Per-face geometry of this vertex set, computed once."""
     if "faces" in mesh._cache:
         return mesh._cache["faces"]
-    corners = _topology(mesh).corners
+    p = _corner_rows(mesh)
     F = mesh.n_faces
-    vt = mesh.vertices.T.copy()
-    # p[k, c]: coordinate k of corner c of every face. The topology has
-    # checked the indices, and a take into out= that may raise buffers
-    p = np.empty((3, 3, F))
-    for k in range(3):
-        np.take(vt[k], corners, out=p[k].reshape(-1), mode="clip")
     # e[j, k]: coordinate k of edge j
     e = np.empty((3, 3, F))
     for j, (a, b) in enumerate(((2, 1), (0, 2), (1, 0))):
-        np.subtract(p[:, a], p[:, b], out=e[j])
+        np.subtract(p[a], p[b], out=e[j])
     # the squares serve both orders: norms add (x0 + x1) + x2, as
     # np.linalg.norm does, and squared lengths (x0 + x2) + x1, as np.einsum
     s = e * e
@@ -381,7 +392,7 @@ def _faces(mesh: TriangleMesh) -> _FaceGeometry:
     # p2 - p0 is -e1 to the last bit too, so cross(e2, -e1) = cross(e1, e2)
     fn = _row_cross(e[1], e[2])
     geo = _FaceGeometry(
-        corners=(p[:, 0].T, p[:, 1].T, p[:, 2].T),
+        p0=p[0],
         lengths=lengths,
         sq_lengths=sq,
         dots=dots,
@@ -529,7 +540,7 @@ def area(mesh: TriangleMesh) -> float:
 
 def signed_volume(mesh: TriangleMesh) -> float:
     """Enclosed volume, positive for outward-oriented meshes."""
-    p0, p1, p2 = (p.T for p in _faces(mesh).corners)
+    p0, p1, p2 = _corner_rows(mesh)
     return float(_row_dots(p0, _row_cross(p1, p2)).sum() / 6.0)
 
 
@@ -677,7 +688,9 @@ def _settled_max(memo, points, centers, density, radius: float):
 
 def _exact_sums(points, centers, density, radius: float) -> np.ndarray:
     """Ball sums of a few centers over all the points, blocks of centers
-    at a time, by the squared-difference test of the full pass."""
+    at a time, by the squared-difference test of the full pass. Each row
+    is summed on its own, so a center's sum does not depend on the
+    centers that share its block, as a matrix product's can."""
     pt, r2 = points.T.copy(), radius * radius
     block = max(_TEST_BLOCK // len(points), 1)
     out = np.empty(len(centers))
@@ -688,17 +701,16 @@ def _exact_sums(points, centers, density, radius: float) -> np.ndarray:
             d = np.subtract.outer(c[:, k], pt[k])
             d *= d
             sq = d if sq is None else np.add(sq, d, out=sq)
-        out[start : start + block] = (sq <= r2) @ density
+        out[start : start + block] = np.where(sq <= r2, density, 0.0).sum(axis=1)
     return out
 
 
-# center-point tests held at once in _exact_sums; a center's sum depends
-# on how many centers share its block
+# center-point tests held at once in _exact_sums
 _TEST_BLOCK = 65536
-# pairs of the widened self-join reduced at once in _ball_sums. Each
-# thread frees its temporaries into an allocator arena of its own: at
-# 65536 the pass at 20480 faces faulted in about twice the pages and
-# raised maxrss by 8 MB more
+# pairs of the widened self-join reduced at once in _ball_sums, and the
+# most shell tests a chunk runs at once. Each thread frees its temporaries
+# into an allocator arena of its own: at 65536 the pass at 20480 faces
+# faulted in about twice the pages and raised maxrss by 8 MB more
 _PAIR_CHUNK = 32768
 # _ball_sums cuts a cell of the points in two while it holds more than
 # this many: one cell for small clouds, 8 at 20480 faces
@@ -819,8 +831,11 @@ def _ball_sums(points, centers, density, radius: float, anchors):
     B(c) to its anchor's core. The join reaches r (1 + _ETA) + d_max,
     for the padded sums. It is split into the independent joins of
     :func:`_tasks`, which run on :func:`_pool`'s threads. Each reduces
-    its pairs ``_PAIR_CHUNK`` at a time into sums of its own, each shell
-    pair tested once against every center of its anchor, and the sums
+    its pairs ``_PAIR_CHUNK`` at a time into sums of its own. A chunk's
+    shell pairs are tested once against every center of their anchor,
+    about 1.8 tests per pair of the chunk at 20480 faces: those tests run
+    ``_PAIR_CHUNK`` at a time too, once the chunk's pair arrays are freed,
+    and add up in the order one run of them all would. The tasks' sums
     are added in the order of the list, so the bits do not depend on the
     thread count. On the 20480-face ``mesh_20k`` benchmark state (seed
     1) at r = 0.25, with the edge-end anchors of :func:`concentration`,
@@ -880,16 +895,37 @@ def _ball_sums(points, centers, density, radius: float, anchors):
             rim += np.bincount(p, w * np.tile(inside, 2), n)
             out = np.concatenate([out, out + len(s)])
             rim_out += np.bincount(np.take(p, out), np.take(w, out), n)
-            # every pair once per center of its anchor: pair e[t] and center k[t]
+            # freed before the shell tests, which need only p, x and w
+            del a, b, d2, wa, wb, inn, s, sa, sb, inside, out
+            # every pair once per center of its anchor: test t is of pair
+            # e[t] and center k[t], run _PAIR_CHUNK tests at a time. The
+            # first run's bincount goes on with np.add.at, which adds in test
+            # order too, so it ends as one bincount of all the tests would
             c = np.take(cnt, p)
-            e = np.repeat(np.arange(len(p)), c)
-            k = np.take(np.take(first, p) - (np.cumsum(c) - c), e)
-            k += np.arange(len(e))
-            we = np.take(w, e)
-            inside, out = _split(_sq_dists(pt, np.take(x, e), ex, k), r2, big2)
-            fix_out += np.bincount(np.take(k, out), np.take(we, out), m)
-            we *= inside
-            fix += np.bincount(k, we, m)
+            ends = np.cumsum(c)
+            base = np.take(first, p) - (ends - c)
+            tests = int(c.sum())
+            k_out, w_out = [], []
+            for t0 in range(0, tests, _PAIR_CHUNK):
+                t1 = min(t0 + _PAIR_CHUNK, tests)
+                lo, hi = np.searchsorted(ends, [t0, t1 - 1], side="right")
+                skip = t0 - (ends[lo] - c[lo])
+                e = np.repeat(np.arange(lo, hi + 1), c[lo : hi + 1])[skip:][: t1 - t0]
+                k = np.take(base, e)
+                k += np.arange(t0, t1)
+                we = np.take(w, e)
+                inside, out = _split(_sq_dists(pt, np.take(x, e), ex, k), r2, big2)
+                # the few tests beyond the radius, summed once the runs end
+                k_out.append(np.take(k, out))
+                w_out.append(np.take(we, out))
+                we *= inside
+                if t0 == 0:
+                    acc = np.bincount(k, we, m)
+                else:
+                    np.add.at(acc, k, we)
+            if tests:
+                fix += acc
+                fix_out += np.bincount(np.concatenate(k_out), np.concatenate(w_out), m)
         return part
 
     total = np.zeros(3 * n + 2 * m)

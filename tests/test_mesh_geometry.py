@@ -961,6 +961,57 @@ def test_split_ball_sums_do_not_depend_on_the_thread_count(monkeypatch):
     assert default[2].tobytes() == alone[2].tobytes()
 
 
+def test_ball_sums_run_at_most_a_chunk_of_distance_tests_at_once(monkeypatch):
+    m = shapes.perturbed_sphere_mesh(3, 1.0, THREE_MODES)
+    v, a = m.vertices, mesh._topology(m).edges[:, 0]
+    centers, dens, radius = centers_of(v, m), curvature_mass(m), 0.25
+    sizes = []
+    full = mesh._sq_dists
+
+    def counted(p, i, q, j):
+        sizes.append(len(i))
+        return full(p, i, q, j)
+
+    monkeypatch.setattr(mesh, "_sq_dists", counted)
+    monkeypatch.setattr(mesh, "_PAIR_CHUNK", 64)
+    best, sums, padded = mesh._ball_sums(v, centers, dens, radius, a)
+    # the first call measures each edge midpoint against its anchor, once
+    # per further center before the joins; every later one is a chunk's
+    # pair distances or one run of its shell tests
+    anchors, *tests = sizes
+    assert anchors == len(centers) - len(v)
+    assert max(tests) <= 64
+    scale = 1e-12 * np.abs(dens).sum()
+    assert np.abs(sums - dense_ball_sums(v, centers, dens, radius)).max() <= scale
+    big = radius * (1.0 + mesh._ETA)
+    assert np.abs(padded - dense_ball_sums(v, centers, dens, big)).max() <= scale
+    want = dense_ball_sums(v, centers, dens, radius).max()
+    assert abs(best - want) <= 1e-12 * abs(want)
+
+
+def test_cached_face_geometry_keeps_one_corner():
+    m = shapes.perturbed_sphere_mesh(3, 1.0, THREE_MODES)
+    m.validate()
+    # the arrays that own the memory of the cached fields, each once
+    owners = {}
+    for field in m._cache["faces"]:
+        for x in field if isinstance(field, tuple) else (field,):
+            owner = x if x.base is None else x.base
+            owners[id(owner)] = owner.size
+    assert sum(owners.values()) <= 16 * m.n_faces
+
+
+def test_exact_sums_do_not_depend_on_the_centers_beside_them(monkeypatch):
+    v = MEMO_MESH.vertices
+    centers = centers_of(v, MEMO_MESH)[::7]
+    dens = curvature_mass(MEMO_MESH)
+    together = mesh._exact_sums(v, centers, dens, 0.25)
+    alone = [mesh._exact_sums(v, c[None], dens, 0.25) for c in centers]
+    assert together.tobytes() == np.concatenate(alone).tobytes()
+    monkeypatch.setattr(mesh, "_TEST_BLOCK", 3 * len(v))
+    assert mesh._exact_sums(v, centers, dens, 0.25).tobytes() == together.tobytes()
+
+
 def test_split_ball_sums_from_concurrent_callers_keep_their_bits(monkeypatch):
     pts, dens, mids, anchors, _ = split_cloud(22, 1500)
     monkeypatch.setattr(mesh, "_CELL", 128)
