@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .spherical import MAX_FILE_DEGREE
+
 __all__ = ["FlowConfig", "parse_config", "parse_config_text", "format_config", "validate_config"]
 
 
@@ -113,6 +115,10 @@ def validate_config(cfg: FlowConfig) -> None:
     """Raise ValueError on inconsistent settings."""
     if cfg.backend not in ("spectral", "mesh"):
         raise ValueError(f"backend must be spectral or mesh, got {cfg.backend!r}")
+    if cfg.bandlimit > MAX_FILE_DEGREE:
+        raise ValueError(
+            f"bandlimit must be at most {MAX_FILE_DEGREE}, got {cfg.bandlimit}"
+        )
     if cfg.dt_policy not in ("auto", "fixed"):
         raise ValueError(f"dt.policy must be auto or fixed, got {cfg.dt_policy!r}")
     if cfg.dt_policy == "fixed" and not cfg.dt_value > 0.0:

@@ -23,21 +23,18 @@ scipy is imported where it is used, so only the mesh backend loads it:
 scipy.sparse in _topology and build_operators, which build the sparse
 matrices, and scipy.spatial in _task_pairs, for the kd-tree joins of
 concentration's full pass, and in _ball_sums, for its nearest-point
-fallback. The joins run on a pool of at most two threads, made with its
-module on the first full pass.
+fallback. The joins run on at most two threads, started by the pass
+and joined before it returns.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
     import scipy.sparse as sp
 
 __all__ = [
@@ -158,7 +155,7 @@ class TriangleMesh:
         self._cache = {k: v for k, v in self._cache.items() if isinstance(k, tuple)}
 
     def translated(self, offset) -> "TriangleMesh":
-        return self._moved(self.vertices + np.asarray(offset, float), self.time)
+        return self._moved(self.vertices + _point(offset, "offset"), self.time)
 
     def _moved(self, vertices, time: float) -> "TriangleMesh":
         """A mesh of new vertices on these faces, sharing the topology entry
@@ -173,6 +170,15 @@ class TriangleMesh:
             f"TriangleMesh({self.n_vertices} vertices, {self.n_faces} faces, "
             f"t={self.time:.6g})"
         )
+
+
+def _point(x, name: str) -> np.ndarray:
+    """x as one finite x, y, z point: an (n, 3) array would move each vertex
+    by its own row, and a nan poison a whole coordinate."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be a finite x, y, z point")
+    return x
 
 
 class _Topology(NamedTuple):
@@ -716,35 +722,12 @@ _PAIR_CHUNK = 32768
 # this many: one cell for small clouds, 8 at 20480 faces
 _CELL = 2048
 
-_POOL = None
-_POOL_LOCK = threading.Lock()
 
-
-def _drop_pool() -> None:
-    """Forget the pool in a forked child, which inherits none of its
-    threads: it would wait on them for ever."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The threads that run _ball_sums' tasks, made on first use: two, or
-    one where the process may run on one core only."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            if hasattr(os, "sched_getaffinity"):
-                cores = len(os.sched_getaffinity(0))
-            else:
-                cores = os.cpu_count() or 1
-            _POOL = ThreadPoolExecutor(min(2, cores))
-        return _POOL
+def _workers() -> int:
+    """Threads of a full pass: two, or one where the process has one core."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
 
 
 def _sq_dists(p, i, q, j) -> np.ndarray:
@@ -830,7 +813,7 @@ def _ball_sums(points, centers, density, radius: float, anchors):
     included, and the shell pairs beyond: c adds the shell points inside
     B(c) to its anchor's core. The join reaches r (1 + _ETA) + d_max,
     for the padded sums. It is split into the independent joins of
-    :func:`_tasks`, which run on :func:`_pool`'s threads. Each reduces
+    :func:`_tasks`, which run on :func:`_workers` threads. Each reduces
     its pairs ``_PAIR_CHUNK`` at a time into sums of its own. A chunk's
     shell pairs are tested once against every center of their anchor,
     about 1.8 tests per pair of the chunk at 20480 faces: those tests run
@@ -928,10 +911,13 @@ def _ball_sums(points, centers, density, radius: float, anchors):
                 fix_out += np.bincount(np.concatenate(k_out), np.concatenate(w_out), m)
         return part
 
+    from concurrent.futures import ThreadPoolExecutor
+
     total = np.zeros(3 * n + 2 * m)
     total[:n] = density
-    for part in _pool().map(reduce, _tasks(points, reach)):
-        total += part
+    with ThreadPoolExecutor(_workers()) as pool:
+        for part in pool.map(reduce, _tasks(points, reach)):
+            total += part
     core, rim, rim_out, fix, fix_out = np.split(total, cuts)
     # a center farther than the radius from every point has an empty ball
     sums = np.zeros(len(centers))

@@ -111,8 +111,11 @@ def parse_modes(text: str):
         if len(parts) != 3:
             raise ValueError(f"mode {chunk!r} is not 'l,m,amplitude'")
         l, m, amp = int(parts[0]), int(parts[1]), float(parts[2])
-        if l < 0 or abs(m) > l:
-            raise ValueError(f"mode (l={l}, m={m}) is invalid")
+        if not abs(m) <= l <= spherical.MAX_FILE_DEGREE:
+            raise ValueError(
+                f"mode (l={l}, m={m}) is invalid: need |m| <= l <= "
+                f"{spherical.MAX_FILE_DEGREE}"
+            )
         modes.append((l, m, amp))
     if not modes:
         raise ValueError("no perturbation modes given")

@@ -53,9 +53,10 @@ __all__ = [
 
 FLOAT_FMT = "%.17g"
 
-# Highest degree a coefficient file may name. The transform tables grow
-# as L^3 and take about 10 GB at L = 1024, so a file naming a higher
-# degree is refused before any array is sized from it.
+# Highest degree a coefficient file, a config's bandlimit or a
+# perturbation mode may name. The transform tables grow as L^3 and take
+# about 10 GB at L = 1024, so a higher degree is refused before any array
+# is sized from it.
 MAX_FILE_DEGREE = 1024
 
 

@@ -35,6 +35,13 @@ def test_parse_modes():
         shapes.parse_modes("2,0")
 
 
+@pytest.mark.parametrize("degree", [1025, 5000, 10**25])
+def test_parse_modes_refuses_a_degree_past_the_limit(degree):
+    with pytest.raises(ValueError, match="l <= 1024"):
+        shapes.parse_modes(f"2,0,0.1;{degree},0,0.01")
+    assert shapes.parse_modes("1024,-1024,0.01") == [(1024, -1024, 0.01)]
+
+
 def test_parse_semiaxes():
     assert shapes.parse_semiaxes("1,1,1.2") == (1.0, 1.0, 1.2)
     with pytest.raises(ValueError, match="a,b,c"):
@@ -141,6 +148,15 @@ def test_config_validation():
         cfgmod.parse_config_text("cadence = 0\n")
 
 
+@pytest.mark.parametrize("bandlimit", [1025, 10**6])
+def test_config_refuses_a_bandlimit_past_the_limit(bandlimit):
+    with pytest.raises(ValueError, match="bandlimit"):
+        cfgmod.validate_config(cfgmod.FlowConfig(bandlimit=bandlimit))
+    with pytest.raises(ValueError, match="bandlimit"):
+        cfgmod.parse_config_text(f"bandlimit = {bandlimit}\n")
+    cfgmod.validate_config(cfgmod.FlowConfig(bandlimit=1024))
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -192,7 +208,7 @@ def flow_configs(draw):
     policy = draw(hst.sampled_from(["auto", "fixed"]))
     return cfgmod.FlowConfig(
         backend=draw(hst.sampled_from(["spectral", "mesh"])),
-        bandlimit=draw(hst.integers()),
+        bandlimit=draw(hst.integers(max_value=spherical.MAX_FILE_DEGREE)),
         mesh=draw(_TEXT),
         shape_kind=draw(_TEXT),
         shape_radius=draw(_REAL),

@@ -9,7 +9,6 @@ import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -391,6 +390,18 @@ def test_a_mesh_on_other_faces_builds_its_own_topology():
     moved.faces = f
     assert mesh._topology(moved) is not mesh._topology(m)
     assert_operators_equal_the_reference(moved)
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [(0.1, float("nan"), 0.0), (0.1, 0.2), np.full((642, 3), 0.1)],
+    ids=["nan", "shape-2", "shape-n3"],
+)
+def test_translated_rejects_an_offset_that_is_no_finite_point(offset):
+    m = shapes.icosphere(3)
+    assert m.n_vertices == 642
+    with pytest.raises(ValueError, match="offset must be a finite x, y, z point"):
+        m.translated(offset)
 
 
 def test_laplacian_of_coordinate_converges():
@@ -953,9 +964,8 @@ def test_split_ball_sums_do_not_depend_on_the_thread_count(monkeypatch):
     assert len(mesh._tasks(v, 0.3)) == 3
     args = (v, centers_of(v, MEMO_MESH), curvature_mass(MEMO_MESH), 0.25, a)
     default = mesh._ball_sums(*args)
-    with ThreadPoolExecutor(1) as one:
-        monkeypatch.setattr(mesh, "_POOL", one)
-        alone = mesh._ball_sums(*args)
+    monkeypatch.setattr(mesh, "_workers", lambda: 1)
+    alone = mesh._ball_sums(*args)
     assert default[0] == alone[0]
     assert default[1].tobytes() == alone[1].tobytes()
     assert default[2].tobytes() == alone[2].tobytes()
@@ -1036,6 +1046,15 @@ def test_split_ball_sums_from_concurrent_callers_keep_their_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert got == [want] * 12
+
+
+def test_a_full_pass_leaves_no_thread_behind():
+    m = fresh_copy(MEMO_MESH)
+    before = threading.active_count()
+    mesh.concentration(m, 0.25)
+    # the full pass ran: it leaves the memo
+    assert m._memo["alpha"].radius == 0.25
+    assert threading.active_count() == before
 
 
 def alpha_into(queue, m):
