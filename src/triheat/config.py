@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .shapes import MAX_SUBDIVISIONS
 from .spherical import MAX_FILE_DEGREE
 
 __all__ = ["FlowConfig", "parse_config", "parse_config_text", "format_config", "validate_config"]
@@ -119,6 +120,8 @@ def validate_config(cfg: FlowConfig) -> None:
         raise ValueError(
             f"bandlimit must be at most {MAX_FILE_DEGREE}, got {cfg.bandlimit}"
         )
+    if not 0 <= cfg.shape_subdivisions <= MAX_SUBDIVISIONS:
+        raise ValueError(f"shape.subdivisions must lie in [0, {MAX_SUBDIVISIONS}]")
     if cfg.dt_policy not in ("auto", "fixed"):
         raise ValueError(f"dt.policy must be auto or fixed, got {cfg.dt_policy!r}")
     if cfg.dt_policy == "fixed" and not cfg.dt_value > 0.0:

@@ -148,7 +148,6 @@ class _Backend(NamedTuple):
     scale: Callable  # state -> length that sets the step: mean radius, min edge
     rescaled: Callable  # (state, factor, center) -> (state - center) / factor
     save: Callable  # (state, path)
-    forget: Callable  # state -> None: drop cached fields that rebuild bit for bit
     suffix: str
 
 
@@ -193,7 +192,6 @@ def _backend(state) -> _Backend:
             scale=RadialGraphState.mean_radius,
             rescaled=_graph_rescaled,
             save=lambda s, path: spherical.write_coeffs_csv(s.coeffs, path),
-            forget=RadialGraphState.forget_fields,
             suffix=".csv",
         )
     if isinstance(state, TriangleMesh):
@@ -213,7 +211,6 @@ def _backend(state) -> _Backend:
             scale=mesh_mod.min_edge_length,
             rescaled=_mesh_rescaled,
             save=mesh_mod.save_obj,
-            forget=TriangleMesh.forget_fields,
             suffix=".obj",
         )
     raise TypeError(f"no backend for {type(state).__name__}")

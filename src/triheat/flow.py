@@ -119,9 +119,8 @@ class Trajectory:
     values, or vertices) but not the fields cached on it: the run drops
     those once it steps past a record, so a long run grows by about the
     coordinates per record. The final entry keeps its cache. A query on
-    a recorded state rebuilds its fields to the bits the record was
-    computed from; a mesh keeps its concentration value, which a fresh
-    pass could change in the last bits.
+    a recorded state rebuilds its fields, concentration included, to the
+    bits the record was computed from.
 
     ``stop_reason`` is 'converged' (sup |A*| fell below the stop
     threshold at a record; on a mesh only at a record where no vertex
@@ -236,7 +235,7 @@ def run(
             dt = dt / 2.0
             continue
         if state is traj.entries[-1].state:
-            backend.forget(state)
+            state.forget_fields()
         state, tries = new, 0
         steps += 1
         since_record = (since_record + 1) % cadence

@@ -144,15 +144,9 @@ class TriangleMesh:
             )
 
     def forget_fields(self) -> None:
-        """Drop the cached geometry, operators and curvatures.
-
-        The next query rebuilds them from the vertices, to the same bits.
-        The concentration values stay: one certified from the shared memo
-        (:func:`concentration`) can differ in the last bits from a fresh
-        full pass, so only the cached value keeps a record's bits.
-        """
-        # the concentration keys are the only tuples, ("alpha", radius)
-        self._cache = {k: v for k, v in self._cache.items() if isinstance(k, tuple)}
+        """Drop the cached geometry, operators and curvatures; the next query
+        rebuilds them from the vertices, to the same bits."""
+        self._cache = {}
 
     def translated(self, offset) -> "TriangleMesh":
         return self._moved(self.vertices + _point(offset, "offset"), self.time)
@@ -567,51 +561,55 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
 
     Candidate centers are the vertices and the edge midpoints, each
     undirected edge once; the ball is Euclidean with the given radius
-    and vertices carry their lumped mass. Each midpoint is anchored at
-    its edge's lower-index end, half the edge's length away, so the
-    self-join of :func:`_ball_sums` needs no nearest-vertex query (its
-    docstring gives the join and distance-test counts at 20480 faces);
-    when some half-edge is longer than the radius it finds the nearest
-    vertices itself.
+    and vertices carry their lumped mass. The result is the largest of
+    the centers' exact sums (:func:`_exact_sums`), so it depends on the
+    vertices, faces and radius only, whichever pass below finds it.
 
-    That full pass also gives every center's mass within r (1 + _ETA),
-    kept with the vertices and the density in a memo that the meshes a
-    step, translation or rescaling makes from this one share. A later
-    mesh whose vertices all lie within _ETA r / 2 of the memo's is
-    certified from it (:func:`_bounds`): exact sums are taken only at the
-    few centers whose bound reaches the best of them, by brute force over
-    the vertices. A mesh that moved farther, or whose bounds leave more
-    than _SETTLE_CAP centers, runs the full pass and refreshes the memo.
-    The result is cached per mesh and radius, so asking again returns the
-    same bits.
+    The full pass, :func:`_ball_sums`, sums every ball in one self-join
+    of the vertices, each midpoint anchored at its edge's lower-index
+    end, or at its nearest vertex where a half-edge is longer than the
+    radius (its docstring gives the join and distance-test counts at
+    20480 faces). A join sum and an exact sum each round by less than
+    n 2^-53 times the mass, so the exact maximum lies among the centers
+    whose join sum is within n 2^-50 times the mass of the best, twice
+    the window needed, and those are summed exactly. The pass also
+    gives every center's mass within r (1 + _ETA), kept with the
+    vertices and the density in a memo that the meshes a step,
+    translation or rescaling makes from this one share. A later mesh
+    whose vertices all lie within _ETA r / 2 of the memo's is certified
+    from it (:func:`_settled_max`): exact sums are taken only at the few
+    centers whose bound reaches the best of them. A mesh that moved
+    farther, or whose bounds leave more than _SETTLE_CAP centers, runs
+    the full pass and refreshes the memo.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
-    key = ("alpha", radius)
-    if key in mesh._cache:
-        return mesh._cache[key]
     H = mean_curvature(mesh)
     ao2, _ = tracefree_norm_sq(mesh)
     _, M = build_operators(mesh)
     density = (ao2 + 0.5 * H * H) * M
     v = mesh.vertices
+    # with R the farthest vertex's distance from the box center, a ball of
+    # 2 R about a vertex or a midpoint (within R too) covers every vertex;
+    # the margin keeps the join's rounded tests in agreement
+    mid = (v.max(axis=0) + v.min(axis=0)) / 2.0
+    if radius >= 2.0 * (1.0 + 1e-12) * _row_norms((v - mid).T).max():
+        return float(density.sum())
     # the topology lists each undirected edge once
     a, b = _topology(mesh).edges.T
     mids = np.take(v, a, axis=0)
     mids += np.take(v, b, axis=0)
     centers = np.concatenate([v, mids / 2.0])
-    # a ball that spans the vertices' bounding box covers every point; skip
-    # the pair query, whose size would grow as radius^3. The midpoints lie
-    # in the box of their edge's ends
-    if radius >= np.linalg.norm(v.max(axis=0) - v.min(axis=0)):
-        alpha = float(density.sum())
-    else:
-        alpha = _settled_max(mesh._memo.get("alpha"), v, centers, density, radius)
-        if alpha is None:
-            alpha, _, padded = _ball_sums(v, centers, density, radius, a)
-            if padded is not None:
-                mesh._memo["alpha"] = _Memo(radius, v, density, padded)
-    mesh._cache[key] = alpha
+    alpha = _settled_max(mesh._memo.get("alpha"), v, centers, density, radius)
+    if alpha is not None:
+        return alpha
+    alpha, sums, padded = _ball_sums(v, centers, density, radius, a)
+    if padded is not None:
+        mesh._memo["alpha"] = _Memo(radius, v, density, padded)
+    # a nan density leaves no ties, and the pass's own value stands
+    ties = np.flatnonzero(sums >= alpha - len(v) * 2.0**-50 * density.sum())
+    if len(ties):
+        alpha = float(_exact_sums(v, centers[ties], density, radius).max())
     return alpha
 
 
@@ -818,12 +816,14 @@ def _ball_sums(points, centers, density, radius: float, anchors):
     shell pairs are tested once against every center of their anchor,
     about 1.8 tests per pair of the chunk at 20480 faces: those tests run
     ``_PAIR_CHUNK`` at a time too, once the chunk's pair arrays are freed,
-    and add up in the order one run of them all would. The tasks' sums
-    are added in the order of the list, so the bits do not depend on the
-    thread count. On the 20480-face ``mesh_20k`` benchmark state (seed
-    1) at r = 0.25, with the edge-end anchors of :func:`concentration`,
-    that is 15 joins (8 cells and 7 cuts) listing 966352 pairs, 292118
-    in the shell, and 1753490 distance tests.
+    each run's sums added on their own. The tasks' sums are added in the
+    order of the list, so the bits do not depend on the thread count;
+    :func:`concentration` takes exact sums at the near-ties, so its
+    alpha does not depend on this summation order either. On the
+    20480-face ``mesh_20k`` benchmark state (seed 1) at r = 0.25, with
+    the edge-end anchors of :func:`concentration`, that is 15 joins (8
+    cells and 7 cuts) listing 966352 pairs, 292118 in the shell, and
+    1753490 distance tests.
     """
     n, r2 = len(points), radius * radius
     extra = centers[n:]
@@ -881,14 +881,11 @@ def _ball_sums(points, centers, density, radius: float, anchors):
             # freed before the shell tests, which need only p, x and w
             del a, b, d2, wa, wb, inn, s, sa, sb, inside, out
             # every pair once per center of its anchor: test t is of pair
-            # e[t] and center k[t], run _PAIR_CHUNK tests at a time. The
-            # first run's bincount goes on with np.add.at, which adds in test
-            # order too, so it ends as one bincount of all the tests would
+            # e[t] and center k[t], run _PAIR_CHUNK tests at a time
             c = np.take(cnt, p)
             ends = np.cumsum(c)
             base = np.take(first, p) - (ends - c)
             tests = int(c.sum())
-            k_out, w_out = [], []
             for t0 in range(0, tests, _PAIR_CHUNK):
                 t1 = min(t0 + _PAIR_CHUNK, tests)
                 lo, hi = np.searchsorted(ends, [t0, t1 - 1], side="right")
@@ -898,17 +895,9 @@ def _ball_sums(points, centers, density, radius: float, anchors):
                 k += np.arange(t0, t1)
                 we = np.take(w, e)
                 inside, out = _split(_sq_dists(pt, np.take(x, e), ex, k), r2, big2)
-                # the few tests beyond the radius, summed once the runs end
-                k_out.append(np.take(k, out))
-                w_out.append(np.take(we, out))
+                fix_out += np.bincount(np.take(k, out), np.take(we, out), m)
                 we *= inside
-                if t0 == 0:
-                    acc = np.bincount(k, we, m)
-                else:
-                    np.add.at(acc, k, we)
-            if tests:
-                fix += acc
-                fix_out += np.bincount(np.concatenate(k_out), np.concatenate(w_out), m)
+                fix += np.bincount(k, we, m)
         return part
 
     from concurrent.futures import ThreadPoolExecutor

@@ -84,10 +84,15 @@ def subdivide(vertices: np.ndarray, faces: np.ndarray):
     return np.concatenate([vertices, p]), out.reshape(-1, 3)
 
 
+# Most subdivisions an icosphere or a config may ask for: 327680 faces. Each
+# level has 4x the faces; at 81920 the first alpha pass alone takes ~70 MB
+MAX_SUBDIVISIONS = 7
+
+
 def icosphere(subdivisions: int, radius: float = 1.0) -> TriangleMesh:
     """Subdivided icosahedron; 20 * 4^n faces, all vertices at the given radius."""
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be nonnegative")
+    if not 0 <= subdivisions <= MAX_SUBDIVISIONS:
+        raise ValueError(f"subdivisions must lie in [0, {MAX_SUBDIVISIONS}]")
     v, f = icosahedron()
     for _ in range(subdivisions):
         v, f = subdivide(v, f)

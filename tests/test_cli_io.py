@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from triheat import config as cfgmod
-from triheat import diagnostics, mesh, shapes, spherical
+from triheat import diagnostics, flow, mesh, shapes, spherical
 from triheat.cli import main
 from triheat.mesh import TriangleMesh
 from triheat.spherical import transform_for
@@ -157,6 +157,20 @@ def test_config_refuses_a_bandlimit_past_the_limit(bandlimit):
     cfgmod.validate_config(cfgmod.FlowConfig(bandlimit=1024))
 
 
+@pytest.mark.parametrize("subdivisions", [-3, -1, 8, 40])
+def test_config_refuses_subdivisions_out_of_range(subdivisions):
+    cfg = cfgmod.FlowConfig(backend="mesh", shape_subdivisions=subdivisions)
+    with pytest.raises(ValueError, match="shape.subdivisions"):
+        cfgmod.validate_config(cfg)
+    with pytest.raises(ValueError, match="shape.subdivisions"):
+        cfgmod.parse_config_text(f"shape.subdivisions = {subdivisions}\n")
+    # the icosphere refuses before it builds a mesh
+    with pytest.raises(ValueError, match="subdivisions"):
+        shapes.icosphere(subdivisions)
+    for n in (0, shapes.MAX_SUBDIVISIONS):
+        cfgmod.validate_config(cfgmod.FlowConfig(backend="mesh", shape_subdivisions=n))
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -214,7 +228,7 @@ def flow_configs(draw):
         shape_radius=draw(_REAL),
         shape_perturb=draw(_TEXT),
         shape_semiaxes=draw(_TEXT),
-        shape_subdivisions=draw(hst.integers()),
+        shape_subdivisions=draw(hst.integers(0, shapes.MAX_SUBDIVISIONS)),
         dt_policy=policy,
         dt_value=draw(_POSITIVE if policy == "fixed" else _REAL),
         safety=draw(_POSITIVE),
@@ -494,6 +508,26 @@ def test_diagnose_ellipsoid_gauss_bonnet(tmp_path, capsys):
     header, row = capsys.readouterr().out.strip().splitlines()
     cols = dict(zip(header.split(","), row.split(",")))
     assert abs(float(cols["intK"]) - 4.0 * np.pi) <= 1e-8
+
+
+def test_diagnose_of_a_mesh_run_repeats_its_last_record(tmp_path, capsys):
+    m = shapes.generate("perturbed", "mesh", subdivisions=3, perturb="2,0,0.05")
+    dt = flow.auto_dt(m)
+    out = tmp_path / "run"
+    # the last of three records is certified from the run's first alpha pass
+    rc = main(["simulate", "--set", f"out.dir={out}", "--set", "backend=mesh",
+               "--set", "shape.kind=perturbed", "--set", "shape.perturb=2,0,0.05",
+               "--set", "shape.subdivisions=3", "--set", "dt.policy=fixed",
+               "--set", f"dt.value={dt!r}", "--set", f"t_end={10 * dt!r}",
+               "--set", "cadence=5"])
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--state", str(out / "state_final.obj")]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 4 and header == lines[0]
+    # the OBJ file carries no time
+    assert row.split(",")[1:] == lines[-1].split(",")[1:]
 
 
 def test_diagnose_rejects_unknown_extension(capsys):

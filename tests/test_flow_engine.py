@@ -445,12 +445,9 @@ def test_a_run_keeps_the_fields_of_its_final_record_only(state):
     traj = flow.run(state, 20 * flow.auto_dt(state), cadence=5)
     assert len(traj.entries) == 5
     assert traj.entries[0].state is state
-    # a mesh keeps its concentration value, which need not match a fresh
-    # pass to the last bit
-    kept = {("alpha", 0.25)} if isinstance(state, TriangleMesh) else set()
     for e in traj.entries[:-1]:
-        assert cached_fields(e.state) == kept
-    assert len(cached_fields(traj.final_state)) > len(kept)
+        assert cached_fields(e.state) == set()
+    assert cached_fields(traj.final_state)
     # asked again, every recorded state gives back its record's bits
     for e in traj.entries:
         got = diagnostics.compute_record(e.state)

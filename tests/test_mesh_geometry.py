@@ -560,8 +560,8 @@ def test_concentration_full_cover():
     _, mass = mesh.build_operators(m)
     total = ((ao2 + 0.5 * h**2) * mass).sum()
     assert mesh.concentration(m, 4.0) == total
-    # radii between the diameter and the bounding-box diagonal still
-    # cover everything but accumulate in pair order
+    # a radius between the diameter and the bounding-box diagonal covers
+    # everything too
     assert abs(mesh.concentration(m, 2.5) / total - 1.0) <= 1e-12
 
 
@@ -679,8 +679,7 @@ def test_mesh_run_records_equal_records_of_fresh_copies(monkeypatch):
     assert len(traj.entries) == 5 and len(calls) == 1
     for e in traj.entries:
         rec = diagnostics.compute_record(fresh_copy(e.state))
-        assert e.record.as_tuple()[:-1] == rec.as_tuple()[:-1]
-        assert abs(e.record.alpha - rec.alpha) <= 1e-13 * rec.alpha
+        assert e.record.as_tuple() == rec.as_tuple()
         # asked again, the recorded state keeps its bits
         assert diagnostics.concentration(e.state, 0.25) == e.record.alpha
     # fresh copies carry no memo
@@ -713,8 +712,18 @@ def test_a_mesh_moved_past_the_margin_takes_the_full_pass(monkeypatch, move):
     calls = count_full_passes(monkeypatch)
     got = mesh.concentration(moved, 0.25)
     assert len(calls) == 1
-    want = mesh.concentration(fresh_copy(moved), 0.25)
-    assert abs(got - want) <= 1e-13 * want
+    assert got == mesh.concentration(fresh_copy(moved), 0.25)
+
+
+def test_certified_and_full_pass_alpha_of_the_same_vertices_are_equal(monkeypatch):
+    m = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.05)])
+    full = mesh.concentration(m, 0.25)
+    # the same vertices, sharing the memo of that pass: certified from it
+    same = m.translated([0.0, 0.0, 0.0])
+    assert same._memo is m._memo
+    calls = count_full_passes(monkeypatch)
+    assert mesh.concentration(same, 0.25) == full
+    assert not calls
 
 
 MEMO_MESH = shapes.perturbed_sphere_mesh(4, 1.0, THREE_MODES)
@@ -901,8 +910,9 @@ def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
     diameter = np.linalg.norm(v[:, None] - v[None], axis=2).max()
     diagonal = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
     assert diameter < diagonal
-    # past the diameter every ball covers every vertex, but concentration
-    # only skips the join past the box diagonal
+    # past the diameter every ball covers every vertex; concentration skips
+    # the join past twice the farthest vertex from the box center, which
+    # lies between the two
     radius = 0.5 * (diameter + diagonal)
     want, _ = dense_concentration(m, radius)
     got = mesh.concentration(m, radius)
@@ -910,7 +920,24 @@ def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
     assert abs(got / curvature_mass(m).sum() - 1.0) <= 1e-12
 
 
-# The full pass as independent spatial joins on a pool of threads
+def test_max_ball_sum_radius_between_diameter_and_covering_bound(monkeypatch):
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
+    v = m.vertices
+    diameter = np.linalg.norm(v[:, None] - v[None], axis=2).max()
+    box = (v.max(axis=0) + v.min(axis=0)) / 2.0
+    bound = 2.0 * np.linalg.norm(v - box, axis=1).max()
+    assert diameter < bound
+    # every ball covers every vertex, every center ties, and the join runs
+    calls = count_full_passes(monkeypatch)
+    radius = 0.5 * (diameter + bound)
+    want, _ = dense_concentration(m, radius)
+    got = mesh.concentration(m, radius)
+    assert len(calls) == 1
+    assert abs(got - want) <= 1e-12 * want
+    assert abs(got / curvature_mass(m).sum() - 1.0) <= 1e-12
+
+
+# The full pass as independent spatial joins on threads of its own
 
 
 def split_cloud(seed, n):
@@ -1033,7 +1060,7 @@ def test_split_ball_sums_from_concurrent_callers_keep_their_bits(monkeypatch):
         for _ in range(3):
             got.append(mesh._ball_sums(*args)[1].tobytes())
 
-    # more callers than the pool has threads, switching often
+    # more callers than a pass has threads, switching often
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -1065,7 +1092,7 @@ def alpha_into(queue, m):
 def test_a_forked_child_runs_its_own_pool():
     m = shapes.perturbed_sphere_mesh(4, 1.0, THREE_MODES)
     want = mesh.concentration(fresh_copy(m), 0.25)
-    # the child inherits the pool but none of its threads
+    # the child inherits none of the parent's threads
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=alpha_into, args=(queue, fresh_copy(m)), daemon=True)
@@ -1098,7 +1125,7 @@ def test_a_failing_task_raises_from_concentration(monkeypatch):
         mp.setattr(mesh, "_task_pairs", fail_second)
         with pytest.raises(TaskFailed, match="second join"):
             mesh.concentration(fresh_copy(m), 0.25)
-    # the pool still runs every task of a later pass
+    # a later pass still runs every task
     out = []
     done = threading.Thread(target=lambda: out.append(mesh.concentration(m, 0.25)))
     done.start()
