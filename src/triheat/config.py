@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .shapes import MAX_SUBDIVISIONS
-from .spherical import MAX_FILE_DEGREE
+from .spherical import MAX_FILE_DEGREE, MIN_BANDLIMIT
 
 __all__ = ["FlowConfig", "parse_config", "parse_config_text", "format_config", "validate_config"]
 
@@ -116,9 +116,10 @@ def validate_config(cfg: FlowConfig) -> None:
     """Raise ValueError on inconsistent settings."""
     if cfg.backend not in ("spectral", "mesh"):
         raise ValueError(f"backend must be spectral or mesh, got {cfg.backend!r}")
-    if cfg.bandlimit > MAX_FILE_DEGREE:
+    if not MIN_BANDLIMIT <= cfg.bandlimit <= MAX_FILE_DEGREE:
         raise ValueError(
-            f"bandlimit must be at most {MAX_FILE_DEGREE}, got {cfg.bandlimit}"
+            f"bandlimit must lie in [{MIN_BANDLIMIT}, {MAX_FILE_DEGREE}], "
+            f"got {cfg.bandlimit}"
         )
     if not 0 <= cfg.shape_subdivisions <= MAX_SUBDIVISIONS:
         raise ValueError(f"shape.subdivisions must lie in [0, {MAX_SUBDIVISIONS}]")

@@ -117,10 +117,11 @@ class Trajectory:
 
     Each entry keeps its state's coordinates (coefficients and grid
     values, or vertices) but not the fields cached on it: the run drops
-    those once it steps past a record, so a long run grows by about the
-    coordinates per record. The final entry keeps its cache. A query on
-    a recorded state rebuilds its fields, concentration included, to the
-    bits the record was computed from.
+    those once it steps past a record, and the final entry's once its
+    record is taken, so what a run returns grows by about the
+    coordinates per record. A query on a recorded state rebuilds its
+    fields, concentration included, to the bits the record was computed
+    from.
 
     ``stop_reason`` is 'converged' (sup |A*| fell below the stop
     threshold at a record; on a mesh only at a record where no vertex
@@ -191,8 +192,9 @@ def run(
     finite.
 
     A recorded state drops its cached fields (``Trajectory``) once the
-    run steps past it; so does the given state, which is the first
-    record, after the first accepted step.
+    run steps past it, and the final state once its record is taken; so
+    does the given state, which is the first record. A later query of
+    ``final_state``, or a run continued from it, rebuilds them once.
     """
     backend = diagnostics._backend(state)
     if backend.name == "mesh":
@@ -243,6 +245,7 @@ def run(
             converged = record(state)
     if since_record:
         record(state)
+    traj.entries[-1].state.forget_fields()
     traj.stop_reason = (
         "singular" if detail is not None else "converged" if converged else "t_end"
     )

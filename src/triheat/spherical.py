@@ -58,6 +58,8 @@ FLOAT_FMT = "%.17g"
 # about 10 GB at L = 1024, so a higher degree is refused before any array
 # is sized from it.
 MAX_FILE_DEGREE = 1024
+# Lowest bandlimit a grid, and so a config, may name.
+MIN_BANDLIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,10 @@ class GridSpec:
     nlon: int
 
     def __post_init__(self):
-        if self.bandlimit < 4:
-            raise ValueError(f"bandlimit must be >= 4, got {self.bandlimit}")
+        if self.bandlimit < MIN_BANDLIMIT:
+            raise ValueError(
+                f"bandlimit must be >= {MIN_BANDLIMIT}, got {self.bandlimit}"
+            )
         if self.nlat < self.bandlimit + 1:
             raise ValueError(
                 f"nlat={self.nlat} under-resolves bandlimit {self.bandlimit}; "

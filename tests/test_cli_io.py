@@ -148,12 +148,13 @@ def test_config_validation():
         cfgmod.parse_config_text("cadence = 0\n")
 
 
-@pytest.mark.parametrize("bandlimit", [1025, 10**6])
+@pytest.mark.parametrize("bandlimit", [-5, 0, 3, 1025, 10**6])
 def test_config_refuses_a_bandlimit_past_the_limit(bandlimit):
     with pytest.raises(ValueError, match="bandlimit"):
         cfgmod.validate_config(cfgmod.FlowConfig(bandlimit=bandlimit))
     with pytest.raises(ValueError, match="bandlimit"):
         cfgmod.parse_config_text(f"bandlimit = {bandlimit}\n")
+    cfgmod.validate_config(cfgmod.FlowConfig(bandlimit=4))
     cfgmod.validate_config(cfgmod.FlowConfig(bandlimit=1024))
 
 
@@ -222,7 +223,9 @@ def flow_configs(draw):
     policy = draw(hst.sampled_from(["auto", "fixed"]))
     return cfgmod.FlowConfig(
         backend=draw(hst.sampled_from(["spectral", "mesh"])),
-        bandlimit=draw(hst.integers(max_value=spherical.MAX_FILE_DEGREE)),
+        bandlimit=draw(
+            hst.integers(spherical.MIN_BANDLIMIT, spherical.MAX_FILE_DEGREE)
+        ),
         mesh=draw(_TEXT),
         shape_kind=draw(_TEXT),
         shape_radius=draw(_REAL),

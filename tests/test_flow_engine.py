@@ -441,17 +441,51 @@ def cached_fields(st):
     ],
     ids=["spectral", "mesh"],
 )
-def test_a_run_keeps_the_fields_of_its_final_record_only(state):
+def test_a_finished_run_keeps_no_cached_fields(state):
     traj = flow.run(state, 20 * flow.auto_dt(state), cadence=5)
     assert len(traj.entries) == 5
     assert traj.entries[0].state is state
-    for e in traj.entries[:-1]:
+    for e in traj.entries:
         assert cached_fields(e.state) == set()
-    assert cached_fields(traj.final_state)
     # asked again, every recorded state gives back its record's bits
     for e in traj.entries:
         got = diagnostics.compute_record(e.state)
         assert got.as_tuple() == e.record.as_tuple()
+
+
+@pytest.mark.parametrize("backend", ["spectral", "mesh"])
+def test_a_finished_run_retains_about_its_coordinates(backend):
+    modes = [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]
+    if backend == "mesh":
+        make = lambda: shapes.perturbed_sphere_mesh(3, 1.0, modes)
+    else:
+        make = lambda: mode_state(1.0, modes)
+    # builds the transform tables, or imports scipy for the first full
+    # concentration pass, whose allocations would swamp the count
+    warm = make()
+    flow.run(warm, 4 * flow.auto_dt(warm))
+    st = make()
+    if backend == "mesh":
+        st.validate()  # the topology, shared by every entry
+    dt = flow.auto_dt(st)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = flow.run(st, 20 * dt, dt=dt, cadence=5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.entries) == 5
+    states = [e.state for e in traj.entries]
+    if backend == "mesh":
+        coords = sum(s.vertices.nbytes for s in states)
+        # the alpha memo that the run's meshes share
+        memo = st._memo["alpha"]
+        coords += memo.density.nbytes + memo.padded.nbytes
+    else:
+        coords = sum(s.coeffs.nbytes + s.values.nbytes for s in states)
+    # the final entry's cached fields alone would add 2.4-2.7 times this
+    assert held <= 1.25 * coords
 
 
 def test_a_record_retains_about_its_coordinates():
