@@ -58,7 +58,8 @@ __all__ = [
 class TriangleMesh:
     """Vertex positions, triangle indices and a flow time.
 
-    Construction only checks array shapes; call :meth:`validate` to
+    Construction only checks array shapes, that the vertices are real and
+    that the faces hold integers; call :meth:`validate` to
     verify the mesh is a closed oriented manifold surface of sphere
     topology with nondegenerate faces. The flow loop validates once up
     front and then steps without re-checking topology, which never
@@ -78,8 +79,17 @@ class TriangleMesh:
     __slots__ = ("vertices", "faces", "time", "_cache", "_topology", "_memo")
 
     def __init__(self, vertices, faces, time: float = 0.0):
+        if np.iscomplexobj(vertices):
+            raise ValueError("vertices must be real")
         vertices = np.asarray(vertices, dtype=float)
-        faces = np.asarray(faces, dtype=np.int64)
+        given = np.asarray(faces)
+        if given.dtype.kind not in "iuf":
+            raise ValueError(f"faces must hold integers, got dtype {given.dtype}")
+        # integral floats pass; a fraction, nan or out-of-range value does not
+        with np.errstate(invalid="ignore"):
+            faces = given.astype(np.int64, copy=False)
+        if faces is not given and not np.array_equal(faces, given):
+            raise ValueError("faces must hold integers")
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise ValueError(f"vertices must be (n, 3), got {vertices.shape}")
         if faces.ndim != 2 or faces.shape[1] != 3:
@@ -563,7 +573,9 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     undirected edge once; the ball is Euclidean with the given radius
     and vertices carry their lumped mass. The result is the largest of
     the centers' exact sums (:func:`_exact_sums`), so it depends on the
-    vertices, faces and radius only, whichever pass below finds it.
+    vertices, faces and radius only, whichever pass below finds it. A
+    ball about the vertex nearest the box center that holds every vertex
+    gives the total mass at once (:func:`_covered`).
 
     The full pass, :func:`_ball_sums`, sums every ball in one self-join
     of the vertices, each midpoint anchored at its edge's lower-index
@@ -589,11 +601,7 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     _, M = build_operators(mesh)
     density = (ao2 + 0.5 * H * H) * M
     v = mesh.vertices
-    # with R the farthest vertex's distance from the box center, a ball of
-    # 2 R about a vertex or a midpoint (within R too) covers every vertex;
-    # the margin keeps the join's rounded tests in agreement
-    mid = (v.max(axis=0) + v.min(axis=0)) / 2.0
-    if radius >= 2.0 * (1.0 + 1e-12) * _row_norms((v - mid).T).max():
+    if _covered(v, density, radius):
         return float(density.sum())
     # the topology lists each undirected edge once
     a, b = _topology(mesh).edges.T
@@ -688,6 +696,19 @@ def _settled_max(memo, points, centers, density, radius: float):
         return None
     rest = _exact_sums(points, centers[rest], density, radius)
     return float(max(best, rest.max(initial=-np.inf)))
+
+
+def _covered(points, density, radius: float) -> bool:
+    """Whether the ball about the point nearest the box center holds every
+    point, by the squared-difference test of the full pass: its exact
+    count is n. With no negative or nan density no ball then holds more,
+    and that ball's exact sum, every term kept, is the density's sum."""
+    if not density.min() >= 0.0:
+        return False
+    mid = (points.max(axis=0) + points.min(axis=0)) / 2.0
+    near = points[np.argmin(_row_norms((points - mid).T))]
+    ones = np.ones(len(points))
+    return _exact_sums(points, near[None], ones, radius)[0] == len(points)
 
 
 def _exact_sums(points, centers, density, radius: float) -> np.ndarray:

@@ -176,9 +176,7 @@ def _geometry(state: RadialGraphState) -> dict:
     tr = transform_for(state.grid)
     c = state.coeffs
     rho = state.values
-    r_t, r_p, h_tt, h_tp, h_pp, lap_rho = tr.derivative_values(
-        c, tr.laplacian_coeffs(c)
-    )
+    r_t, r_p, h_tt, h_tp, h_pp, lap_rho = tr.derivative_values(c, laplacian=True)
     S = tr.sin_t[:, None]
     Phi = rho * rho + r_t * r_t + (r_p / S) ** 2
     sqPhi = np.sqrt(Phi)
@@ -332,7 +330,7 @@ def _lap_from_coeffs(state: RadialGraphState, coeffs: np.ndarray) -> np.ndarray:
 
     cu = np.array(coeffs, dtype=float)
     cu[0, L] = 0.0  # constants lie in the kernel; enforce that exactly
-    u_t, u_p, lap_u = tr.gradient_values(cu, tr.laplacian_coeffs(cu))
+    u_t, u_p, lap_u = tr.gradient_values(cu, laplacian=True)
 
     if "a" not in geo:  # sqrt(Phi)/rho and its gradient, the same on every call
         a = geo["sqPhi"] / geo["rho"]

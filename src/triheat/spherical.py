@@ -23,10 +23,12 @@ row-wise rfft spectrum, then inverts the FFT.  The Gauss-Legendre nodes
 are symmetric about the equator, so the tables hold only the northern
 rows, split by the parity of l - m, with order m and order L - m sharing
 one block of columns; all orders are summed in one batched product per
-parity, on real arithmetic (see _Transform), for one field or for two
-whose values are wanted together.  A phi-derivative multiplies mode m
-by i m, so u_phi, u_theta-phi and u_phi-phi reuse the spectra of u and
-u_theta instead of needing sums of their own.  One Legendre recurrence,
+parity, on real arithmetic (see _Transform).  A phi-derivative
+multiplies mode m by i m, so u_phi, u_theta-phi and u_phi-phi reuse the
+spectra of u and u_theta instead of needing sums of their own, and the
+round-sphere Laplacian's spectrum is u_m'' + cot(theta) u_m' - m^2 u_m /
+sin^2(theta), row by row, from the spectra of u, u_theta and
+u_theta-theta.  One Legendre recurrence,
 run one order at a time, builds the grid tables and serves evaluation
 at scattered points.
 
@@ -185,9 +187,8 @@ class _Transform:
     L // 2 + 1 blocks, and when L is even order L / 2 pairs with itself
     and fills only the first run.  A Legendre sum is one batched product
     per parity, whose right-hand side has a (cos, sin) column pair per
-    order of the block and per coefficient set, zero in the rows of the
-    other order; rows of the sums land in the rfft spectra at m = p and
-    m = L - p.
+    order of the block, zero in the rows of the other order; rows of the
+    sums land in the rfft spectra at m = p and m = L - p.
     """
 
     def __init__(self, grid: GridSpec):
@@ -203,6 +204,9 @@ class _Transform:
         self.area_weights = (2.0 * np.pi / grid.nlon) * self.w  # per-row dsigma weight
         self._m = np.arange(grid.nlon // 2 + 1)
         self._im = 1j * self._m
+        # per-row factors of the Laplacian's spectrum
+        self._cot = (self.x / self.sin_t)[:, None]
+        self._m2_s2 = self._m**2 / (self.sin_t**2)[:, None]
 
         h = (grid.nlat + 1) // 2
         P = L // 2 + 1
@@ -217,7 +221,6 @@ class _Transform:
         analysis = np.full(L + 1, root2 * (2.0 * np.pi / grid.nlon))
         analysis[0] = 2.0 * np.pi / grid.nlon
 
-        n_coeffs = (L + 1) * (2 * L + 1)
         alf = _alf_tables(L, self.x[:h])
         paired, takes = [], []
         for par in (0, 1):
@@ -233,9 +236,8 @@ class _Transform:
                         table[k, p, :, c : c + d] = t[n][:, par::2]
             paired.append(table)
             # flat positions in coeffs of the (cos, sin) pair of each entry,
-            # in columns (set, run, cos/sin) for two stacked sets, of which
-            # one set reads the first; padding, the other run's rows and
-            # the m = 0 sine point at a zero slot past the end of the sets
+            # in columns (run, cos/sin); padding, the other run's rows and
+            # the m = 0 sine point at a zero slot past the end of coeffs
             j = np.arange(table.shape[3])
             first = count[:, :1]
             run = (j >= first).astype(int)
@@ -243,29 +245,20 @@ class _Transform:
             l = m + par + 2 * np.where(run, j - first, j)
             p_at, j_at = np.nonzero((m >= 0) & (l <= L))
             m, l, run = m[p_at, j_at], l[p_at, j_at], run[p_at, j_at]
-            start = np.array([0, n_coeffs])  # of each set in the flat array
-            take = np.full((P, len(j), 2, 2, 2), -1)
-            take[p_at, j_at, :, run, 0] = (l * (2 * L + 1) + L + m)[:, None] + start
+            take = np.full((P, len(j), 2, 2), -1)
+            take[p_at, j_at, run, 0] = l * (2 * L + 1) + L + m
             sine = m > 0
-            take[p_at[sine], j_at[sine], :, run[sine], 1] = (
-                l * (2 * L + 1) + L - m
-            )[sine, None] + start
-            takes.append(take)
+            take[p_at[sine], j_at[sine], run[sine], 1] = (l * (2 * L + 1) + L - m)[sine]
+            takes.append(take.reshape(P, -1, 4))
         self._even, self._odd = paired
-        self._take = {
-            k: [np.ascontiguousarray(t[:, :, :k]).reshape(P, -1, 4 * k) for t in takes]
-            for k in (1, 2)
-        }
+        self._take = takes
         # full size, as a broadcast over the trailing columns runs slowly
-        fac = synthesis[np.maximum(pairs, 0)][:, None, None, :, None]
-        north = np.broadcast_to(fac * np.array([1.0, -1.0]), (P, h, 2, 2, 2))
-        self._north_scale = {
-            k: np.ascontiguousarray(north[:, :, :k]).reshape(P, h, 4 * k)
-            for k in (1, 2)
-        }
+        fac = synthesis[np.maximum(pairs, 0)][:, None, :, None]
+        north = np.broadcast_to(fac * np.array([1.0, -1.0]), (P, h, 2, 2))
+        self._north_scale = north.reshape(P, h, 4).copy()
         # the south rows are E - O for Q and d2Q and O - E for dQ
         sign = np.array([1.0, -1.0, 1.0])[:, None, None, None]
-        self._south_scale = {k: sign * v for k, v in self._north_scale.items()}
+        self._south_scale = sign * self._north_scale
         # analysis reads the folded (re, im) rows of both orders of a block
         # (block L / 2 twice), parity by parity, from a (2, h, L + 1) array
         order = np.where(pairs < 0, pairs[:, :1], pairs)[None, :, None, :, None]
@@ -278,7 +271,7 @@ class _Transform:
             np.broadcast_to(fac * np.array([1.0, -1.0]), (P, t.shape[1], 2, 2))
             .reshape(P, -1, 4)
             .copy()
-            for t in self._take[1]
+            for t in self._take
         ]
 
     # -- core transforms -------------------------------------------------
@@ -305,61 +298,49 @@ class _Transform:
         flat = np.zeros((L + 1) * (2 * L + 1) + 1)
         tables = (self._even[0], self._odd[0])
         for table, take, scale, rows in zip(
-            tables, self._take[1], self._analysis_scale, (sym, anti)
+            tables, self._take, self._analysis_scale, (sym, anti)
         ):
             proj = table.transpose(0, 2, 1) @ rows
             flat[take] = scale * proj
         return flat[:-1].reshape(L + 1, 2 * L + 1)
 
-    def _spectra(self, coeffs, tables: int, out=None, slots=None) -> np.ndarray:
-        """Row-wise rfft spectra against the first `tables` of Q, dQ, d2Q.
-
-        coeffs is one coefficient array or a tuple of two, summed in one
-        product.  Set s against table t goes to out[slots[t, s]], by
-        default a new (tables * sets, nlat, nlon // 2 + 1) array in the
-        order (t, s); entries above the bandlimit are left as out has them.
-        """
+    def _spectra(self, coeffs, tables: int, fields: int = 0) -> np.ndarray:
+        """Row-wise rfft spectra of coeffs against the first `tables` of Q,
+        dQ, d2Q, in the first slots of a (max(tables, fields), nlat,
+        nlon // 2 + 1) array that is zero above the bandlimit."""
         g = self.grid
         L = g.bandlimit
-        sets = coeffs if isinstance(coeffs, tuple) else (coeffs,)
-        k = len(sets)
+        _check_coeffs(coeffs, L)
         P, h = self._even.shape[1:3]
-        if out is None:
-            out = np.zeros((tables * k, g.nlat, g.nlon // 2 + 1), dtype=complex)
-            slots = np.arange(tables * k).reshape(tables, k)
-        flat = np.empty(k * (L + 1) * (2 * L + 1) + 1)
-        for dst, c in zip(flat[:-1].reshape(k, L + 1, 2 * L + 1), sets):
-            _check_coeffs(c, L)
-            dst[:] = c
+        out = np.empty((max(tables, fields), g.nlat, g.nlon // 2 + 1), dtype=complex)
+        out[:, :, L + 1 :] = 0.0
+        flat = np.empty((L + 1) * (2 * L + 1) + 1)
+        flat[:-1].reshape(L + 1, 2 * L + 1)[:] = coeffs
         flat[-1] = 0.0
-        take_even, take_odd = self._take[k]
+        take_even, take_odd = self._take
         E = self._even[:tables] @ flat[take_even]
         O = self._odd[:tables] @ flat[take_odd]
-        # (cos, sin) sums to complex spectrum entries, columns (set, run)
+        # (cos, sin) sums to complex spectrum entries, one column per run
         north = E + O
-        north *= self._north_scale[k]
+        north *= self._north_scale
         E -= O
-        E *= self._south_scale[k][:tables]
-        north = north.view(complex).reshape(tables, P, h, k, 2)
-        south = E.view(complex).reshape(tables, P, h, k, 2)[:, :, g.nlat - h - 1 :: -1]
+        E *= self._south_scale[:tables]
+        north = north.view(complex)
+        south = E.view(complex)[:, :, g.nlat - h - 1 :: -1]
         # first runs go to columns m = p, second runs to m = L - p, which
         # is faster written in increasing m
-        out[slots, :h, :P] = north[..., 0].transpose(0, 3, 2, 1)
-        out[slots, :h, P : L + 1] = north[:, L - P :: -1, :, :, 1].transpose(0, 3, 2, 1)
-        out[slots, h:, :P] = south[..., 0].transpose(0, 3, 2, 1)
-        out[slots, h:, P : L + 1] = south[:, L - P :: -1, :, :, 1].transpose(0, 3, 2, 1)
+        out[:tables, :h, :P] = north[..., 0].transpose(0, 2, 1)
+        out[:tables, :h, P : L + 1] = north[:, L - P :: -1, :, 1].transpose(0, 2, 1)
+        out[:tables, h:, :P] = south[..., 0].transpose(0, 2, 1)
+        out[:tables, h:, P : L + 1] = south[:, L - P :: -1, :, 1].transpose(0, 2, 1)
         return out
 
-    def _fields(self, coeffs, extra, tables: int, slots) -> np.ndarray:
-        """A spectra buffer holding coeffs against the first `tables` tables
-        at slots[:, 0] and, if given, extra at slots[:, 1]; the derived
-        spectra go into the free slots, and extra's derivatives are scratch."""
-        g = self.grid
-        sets = (coeffs,) if extra is None else (coeffs, extra)
-        slots = slots[:, : len(sets)]
-        S = np.empty((slots.max() + 1, g.nlat, g.nlon // 2 + 1), dtype=complex)
-        S[:, :, g.bandlimit + 1 :] = 0.0
-        return self._spectra(sets, tables, S, slots)
+    def _laplacian(self, S: np.ndarray, out: np.ndarray) -> None:
+        """The round-sphere Laplacian's spectrum, (Delta u)_m = u_m'' +
+        cot(theta) u_m' - m^2 u_m / sin^2(theta) row by row, into out from
+        the spectra of u, u_theta and u_theta-theta in S[:3]."""
+        np.add(S[2], self._cot * S[1], out=out)
+        out -= self._m2_s2 * S[0]
 
     def _values(self, spectra: np.ndarray) -> np.ndarray:
         """Grid values of row-wise rfft spectra, several fields in one call."""
@@ -384,47 +365,40 @@ class _Transform:
             out = eig[:, None] * out
         return out
 
-    def gradient_values(self, coeffs: np.ndarray, extra=None):
-        """(d/dtheta u, d/dphi u) on the grid.
+    def gradient_values(self, coeffs: np.ndarray, laplacian: bool = False):
+        """(d/dtheta u, d/dphi u) on the grid, followed by the round-sphere
+        Laplacian of u when asked for."""
+        # u_p, u_t, lap; u_p starts as the spectrum of u, lap as that of u_tt
+        S = self._spectra(coeffs, 2 + laplacian)
+        if laplacian:
+            self._laplacian(S, S[2])
+        np.multiply(self._im, S[0], out=S[0])
+        u_p, u_t, *lap = self._values(S)
+        return (u_t, u_p, *lap)
 
-        With extra coefficients, their grid values follow, from the same
-        Legendre sums.
-        """
-        # u_t, u_p, extra; u_p starts as the spectrum of u
-        S = self._fields(coeffs, extra, 2, _GRADIENT_SLOTS)
-        np.multiply(self._im, S[1], out=S[1])
-        return tuple(self._values(S[: 2 if extra is None else 3]))
-
-    def derivative_values(self, coeffs: np.ndarray, extra=None):
+    def derivative_values(self, coeffs: np.ndarray, laplacian: bool = False):
         """Gradient and covariant Hessian (round metric) on the grid.
 
         Returns (d/dtheta u, d/dphi u, theta-theta, theta-phi, phi-phi)
         from three Legendre sums: d/dphi multiplies longitude mode m by i m.
-        With extra coefficients, their grid values follow, from the same
-        Legendre sums.
+        The round-sphere Laplacian of u follows when asked for.
         """
-        # u_t, u_p, h_tt, h_tp, h_pp, extra; h_pp starts as the spectrum of u
-        S = self._fields(coeffs, extra, 3, _DERIVATIVE_SLOTS)
-        np.multiply(self._im, S[4], out=S[1])
+        # u_pp, u_t, h_tt, u_p, h_tp, lap; u_pp starts as the spectrum of u
+        S = self._spectra(coeffs, 3, 5 + laplacian)
+        if laplacian:
+            self._laplacian(S, S[5])
         np.multiply(self._im, S[0], out=S[3])
-        np.multiply(-(self._m**2), S[4], out=S[4])
-        u_t, u_p, h_tt, h_tp, h_pp, *rest = self._values(S[: 5 if extra is None else 6])
-        s = self.sin_t[:, None]
-        x = self.x[:, None]
-        h_tp -= (x / s) * u_p
-        h_pp += s * x * u_t
-        return (u_t, u_p, h_tt, h_tp, h_pp, *rest)
+        np.multiply(self._im, S[1], out=S[4])
+        np.multiply(-(self._m**2), S[0], out=S[0])
+        h_pp, u_t, h_tt, u_p, h_tp, *lap = self._values(S)
+        h_tp -= self._cot * u_p
+        h_pp += self.sin_t[:, None] * self.x[:, None] * u_t
+        return (u_t, u_p, h_tt, h_tp, h_pp, *lap)
 
     def quadrature(self, values: np.ndarray) -> float:
         """Integral of grid values over the unit sphere (dsigma measure)."""
         _check_values(values, self.grid)
         return float(self.area_weights @ values.sum(axis=1))
-
-
-# where _spectra puts set s against table t, slots[t, s], for the fields of
-# gradient_values and derivative_values; slots past the fields are scratch
-_GRADIENT_SLOTS = np.array([[1, 2], [0, 3]])
-_DERIVATIVE_SLOTS = np.array([[4, 5], [0, 6], [2, 7]])
 
 
 @lru_cache(maxsize=16)

@@ -69,6 +69,14 @@ def legendre_spectrum_by_order(table, coeffs, nlon):
     return S
 
 
+def laplacian_values_by_order(Q, coeffs, nlon):
+    """Grid values of the round-sphere Laplacian, each degree-l coefficient
+    scaled by its eigenvalue -l (l + 1) and summed one order at a time."""
+    l = np.arange(len(coeffs), dtype=float)[:, None]
+    spectrum = legendre_spectrum_by_order(Q, -l * (l + 1.0) * coeffs, nlon)
+    return np.fft.irfft(spectrum, n=nlon, axis=1)
+
+
 def analyze_by_order(Q, weights, values):
     """Gauss-Legendre projection of grid values, one order at a time."""
     L = len(Q) - 1

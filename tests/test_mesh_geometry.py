@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -134,6 +135,26 @@ def test_validate_rejects_inward_orientation():
             inward.validate()
     with pytest.raises(ValueError, match="oriented inward"):
         shapes.generate("sphere", "mesh", subdivisions=1, radius=-1.0)
+
+
+def test_construction_rejects_faces_that_are_not_integers():
+    m = shapes.icosphere(1)
+    # integral floats, as np.loadtxt gives them, are indices
+    assert np.array_equal(TriangleMesh(m.vertices, m.faces * 1.0).faces, m.faces)
+    for faces in (m.faces + 0.5, np.where(m.faces == 3, np.nan, m.faces)):
+        with pytest.raises(ValueError, match="faces must hold integers"):
+            TriangleMesh(m.vertices, faces)
+    with pytest.raises(ValueError, match="faces must hold integers"):
+        TriangleMesh(m.vertices, m.faces.astype(complex))
+
+
+def test_construction_rejects_vertices_that_are_not_real():
+    m = shapes.icosphere(1)
+    with pytest.raises(ValueError, match="vertices must be real"):
+        TriangleMesh(m.vertices + 1e-3j, m.faces)
+    # a zero imaginary part is refused too: the dtype is what is checked
+    with pytest.raises(ValueError, match="vertices must be real"):
+        TriangleMesh(m.vertices.astype(complex), m.faces)
 
 
 def test_validate_rejects_face_geometry_that_overflows():
@@ -910,9 +931,9 @@ def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
     diameter = np.linalg.norm(v[:, None] - v[None], axis=2).max()
     diagonal = np.linalg.norm(v.max(axis=0) - v.min(axis=0))
     assert diameter < diagonal
-    # past the diameter every ball covers every vertex; concentration skips
-    # the join past twice the farthest vertex from the box center, which
-    # lies between the two
+    # past the diameter every ball covers every vertex, and so does the
+    # ball about the vertex nearest the box center, which concentration
+    # tests before any join
     radius = 0.5 * (diameter + diagonal)
     want, _ = dense_concentration(m, radius)
     got = mesh.concentration(m, radius)
@@ -920,21 +941,41 @@ def test_max_ball_sum_radius_between_diameter_and_box_diagonal():
     assert abs(got / curvature_mass(m).sum() - 1.0) <= 1e-12
 
 
+def assert_covered_without_a_pass(monkeypatch, m, radius):
+    """concentration gives the total mass with no full pass, to the bits
+    of a full pass forced on a fresh copy."""
+    calls = count_full_passes(monkeypatch)
+    got = mesh.concentration(m, radius)
+    assert not calls
+    assert got == curvature_mass(m).sum()
+    monkeypatch.setattr(mesh, "_covered", lambda *args: False)
+    assert mesh.concentration(fresh_copy(m), radius) == got
+    assert len(calls) == 1
+
+
+def covering_range(m):
+    """(the vertices' diameter, twice the farthest vertex from the box center)."""
+    v = m.vertices
+    box = (v.max(axis=0) + v.min(axis=0)) / 2.0
+    return pdist(v).max(), 2.0 * np.linalg.norm(v - box, axis=1).max()
+
+
 def test_max_ball_sum_radius_between_diameter_and_covering_bound(monkeypatch):
     m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05), (3, 1, 0.02)])
-    v = m.vertices
-    diameter = np.linalg.norm(v[:, None] - v[None], axis=2).max()
-    box = (v.max(axis=0) + v.min(axis=0)) / 2.0
-    bound = 2.0 * np.linalg.norm(v - box, axis=1).max()
+    diameter, bound = covering_range(m)
     assert diameter < bound
-    # every ball covers every vertex, every center ties, and the join runs
-    calls = count_full_passes(monkeypatch)
+    # every ball covers every vertex: the ball about the vertex nearest the
+    # box center shows it, and no join runs
     radius = 0.5 * (diameter + bound)
     want, _ = dense_concentration(m, radius)
-    got = mesh.concentration(m, radius)
-    assert len(calls) == 1
-    assert abs(got - want) <= 1e-12 * want
-    assert abs(got / curvature_mass(m).sum() - 1.0) <= 1e-12
+    assert abs(mesh.concentration(m, radius) - want) <= 1e-12 * want
+    assert_covered_without_a_pass(monkeypatch, fresh_copy(m), radius)
+
+
+def test_a_covering_radius_on_5120_faces_takes_no_full_pass(monkeypatch):
+    diameter, bound = covering_range(MEMO_MESH)
+    assert diameter < 2.074 < bound
+    assert_covered_without_a_pass(monkeypatch, fresh_copy(MEMO_MESH), 2.074)
 
 
 # The full pass as independent spatial joins on threads of its own

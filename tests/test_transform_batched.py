@@ -2,10 +2,11 @@
 
 The transform keeps only the northern half of each Legendre table,
 pairs order m with order L - m in one block of columns, and sums all
-orders, for one or two coefficient sets, in one product per degree
-parity. The reference here loops over the orders with full-height
-tables, as the sums are defined (oracles.py), so the two meet only in
-the tables, which are checked against scipy's harmonics elsewhere.
+orders in one product per degree parity. The reference here loops over
+the orders with full-height tables, as the sums are defined (oracles.py),
+so the two meet only in the tables, which are checked against scipy's
+harmonics elsewhere. The round-sphere Laplacian, formed from the spectra
+of u and its theta-derivatives, is held against the eigenvalue sums.
 """
 
 import numpy as np
@@ -16,12 +17,15 @@ from hypothesis import strategies as hst
 from oracles import (
     analyze_by_order,
     derivative_values_by_order,
+    laplacian_values_by_order,
     legendre_spectrum_by_order,
 )
 from triheat import flow, shapes
 from triheat.spherical import GridSpec, _alf_tables, _Transform
 
 TOL = 1e-13
+# the Laplacian's spectrum adds terms up to m^2 / sin^2 times the field's
+LAP_TOL = 1e-12
 
 
 @hst.composite
@@ -40,9 +44,9 @@ def random_coeffs(rng, L):
     return c
 
 
-def assert_close(got, want):
+def assert_close(got, want, tol=TOL):
     assert got.shape == want.shape
-    assert np.abs(got - want).max() <= TOL * np.abs(want).max()
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -72,31 +76,31 @@ def test_batched_sums_equal_the_per_order_loop(grid, seed):
 @given(grid=grids(), seed=hst.integers(0, 2**32 - 1))
 @example(grid=GridSpec.for_bandlimit(5), seed=4)  # nlat = 9
 @example(grid=GridSpec.for_bandlimit(8), seed=5)  # order 4 pairs with itself
-def test_stacked_sets_equal_the_per_order_loop(grid, seed):
+@example(grid=GridSpec.for_bandlimit(64), seed=6)
+@example(grid=GridSpec.for_bandlimit(128), seed=7)
+def test_laplacian_from_the_spectra_equals_the_eigenvalue_sums(grid, seed):
     L, nlon = grid.bandlimit, grid.nlon
     tr = _Transform(grid)
     tables = _alf_tables(L, tr.x)
     rng = np.random.default_rng(seed)
-    c, extra = random_coeffs(rng, L), random_coeffs(rng, L)
+    c = random_coeffs(rng, L)
 
-    # set s against table t lands at 2 t + s
-    spectra = tr._spectra((c, extra), 3)
-    for t, table in enumerate(tables):
-        for s, coeffs in enumerate((c, extra)):
-            want = legendre_spectrum_by_order(table, coeffs, nlon)
-            assert_close(spectra[2 * t + s], want)
-    extra_values = np.fft.irfft(
-        legendre_spectrum_by_order(tables[0], extra, nlon), n=nlon, axis=1
-    )
+    by_order = laplacian_values_by_order(tables[0], c, nlon)
+    synthesized = tr.synthesize(tr.laplacian_coeffs(c))
+    derivatives = tr.derivative_values(c, laplacian=True)
+    gradient = tr.gradient_values(c, laplacian=True)
+    assert len(derivatives) == 6 and len(gradient) == 3
     want = derivative_values_by_order(tables, tr.x, c, nlon)
-    got = tr.derivative_values(c, extra)
-    assert len(got) == 6
-    for g, w in zip(got, (*want, extra_values)):
-        assert_close(g, w)
-    got = tr.gradient_values(c, extra)
-    assert len(got) == 3
-    for g, w in zip(got, (*want[:2], extra_values)):
-        assert_close(g, w)
+    for got, w in zip((*derivatives[:5], *gradient[:2]), (*want, *want[:2])):
+        assert_close(got, w)
+    # asking for the Laplacian leaves the other fields' bits alone
+    for got, want in zip(derivatives, tr.derivative_values(c)):
+        assert np.array_equal(got, want)
+    for got, want in zip(gradient, tr.gradient_values(c)):
+        assert np.array_equal(got, want)
+    for lap in (derivatives[5], gradient[2]):
+        assert_close(lap, by_order, LAP_TOL)
+        assert_close(lap, synthesized, LAP_TOL)
 
 
 @pytest.mark.parametrize("L", [8, 9, 16, 17])
