@@ -158,8 +158,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.lmax < 0:
-        raise _UsageError("--lmax must be nonnegative")
+    if not 0 <= args.lmax <= spherical.MAX_FILE_DEGREE:
+        raise _UsageError(f"--lmax must lie in [0, {spherical.MAX_FILE_DEGREE}]")
     # every rate first, so a rejected radius prints no partial table
     rates = [
         diagnostics.linearized_rate(l, args.rho_inf) for l in range(args.lmax + 1)

@@ -29,7 +29,9 @@ class FlowConfig:
     paper's small-energy hypothesis: ``triheat simulate`` writes the
     initial record's int |A*|^2 to ``run.meta`` as ``run.ao2_initial``,
     and ``run.below_epsilon0 = yes`` when it lies below ``epsilon0``
-    (else ``no``). It does not influence the dynamics.
+    (else ``no``). It does not influence the dynamics. ``bandlimit``
+    sizes a spectral state and ``shape_subdivisions`` a mesh; each
+    backend ignores the other's.
     """
 
     backend: str = "spectral"

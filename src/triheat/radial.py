@@ -215,10 +215,6 @@ def _shape(state: RadialGraphState) -> dict:
     A_tp = -(rho * h_tp - 2.0 * r_t * r_p) / sqPhi
     A_pp = -(rho * h_pp - 2.0 * r_p * r_p - rho * rho * S2) / sqPhi
 
-    g_tt = rho * rho + r_t * r_t
-    g_tp = r_t * r_p
-    g_pp = rho * rho * S2 + r_p * r_p
-
     # inverse metric via g^{ij} = rho^{-2} (sigma^{ij} - Phi^{-1} grad^i rho grad^j rho)
     gt = r_t
     gp = r_p / S2
@@ -235,15 +231,9 @@ def _shape(state: RadialGraphState) -> dict:
     H = Wtt + Wpp
     K = Wtt * Wpp - Wtp * Wpt
     normA2 = Wtt * Wtt + 2.0 * Wtp * Wpt + Wpp * Wpp
-
-    Ao_tt = A_tt - 0.5 * g_tt * H
-    Ao_tp = A_tp - 0.5 * g_tp * H
-    Ao_pp = A_pp - 0.5 * g_pp * H
-    Wott = gi_tt * Ao_tt + gi_tp * Ao_tp
-    Wotp = gi_tt * Ao_tp + gi_tp * Ao_pp
-    Wopt = gi_tp * Ao_tt + gi_pp * Ao_tp
-    Wopp = gi_tp * Ao_tp + gi_pp * Ao_pp
-    normAo2 = Wott * Wott + 2.0 * Wotp * Wopt + Wopp * Wopp
+    # g^{-1} A* = W - (H/2) I, whose squared norm is (k1 - k2)^2 / 2; taken
+    # componentwise, not as |A|^2 - H^2/2, which cancels near round spheres
+    normAo2 = 0.5 * (Wtt - Wpp) ** 2 + 2.0 * Wtp * Wpt
 
     geo.update(
         gi_tt=gi_tt,
@@ -377,16 +367,13 @@ def laplacian_chain(state: RadialGraphState):
     if "chain" in geo:
         return geo["chain"]
     tr = transform_for(state.grid)
-    L = state.grid.bandlimit
     # the quotient-route H is exactly constant on round spheres, which the
     # shape-operator trace is not at rounding level; the chain needs that
     H = mean_curvature(state)
-    cH = tr.analyze(H - H.flat[0])
-    cH[0, L] += H.flat[0] * _SQRT4PI
-    w1 = _lap_from_coeffs(state, cH)
-    cw = tr.analyze(w1 - w1.flat[0])
-    cw[0, L] += w1.flat[0] * _SQRT4PI
-    w2 = _lap_from_coeffs(state, cw)
+    # constants lie in the Laplacian's kernel, and _lap_from_coeffs zeroes
+    # the mean coefficient, so only the variation is analyzed
+    w1 = _lap_from_coeffs(state, tr.analyze(H - H.flat[0]))
+    w2 = _lap_from_coeffs(state, tr.analyze(w1 - w1.flat[0]))
     # the chain is cached, so the shared fields would only hold memory
     del geo["a"]
     geo["chain"] = (H, w1, w2)

@@ -3,7 +3,9 @@
 Spectral states are radial graphs; sphere and harmonic perturbations are
 written directly into coefficients (exact to the last bit), ellipsoids
 are sampled and projected. Mesh surfaces come from subdivided
-icosahedra, optionally rescaled radially.
+icosahedra; a perturbed one is rescaled radially by its mode
+coefficients evaluated at the vertex directions, so no spectral grid or
+transform is built for a mesh.
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ def parse_modes(text: str):
         if len(parts) != 3:
             raise ValueError(f"mode {chunk!r} is not 'l,m,amplitude'")
         l, m, amp = int(parts[0]), int(parts[1]), float(parts[2])
+        if not np.isfinite(amp):
+            raise ValueError(f"mode {chunk!r} has a non-finite amplitude")
         if not abs(m) <= l <= spherical.MAX_FILE_DEGREE:
             raise ValueError(
                 f"mode (l={l}, m={m}) is invalid: need |m| <= l <= "
@@ -137,18 +141,22 @@ def parse_semiaxes(text: str):
     return axes
 
 
-def perturbed_sphere_state(
-    grid: GridSpec, radius: float, modes
-) -> RadialGraphState:
-    """rho = radius + sum of amp * Y_{l, m}, written straight into coefficients."""
-    L = grid.bandlimit
+def _mode_coeffs(L: int, radius: float, modes) -> np.ndarray:
+    """Coefficients of rho = radius + sum of amp * Y_{l, m} at bandlimit L."""
     c = np.zeros((L + 1, 2 * L + 1))
     c[0, L] = radius * _SQRT4PI
     for l, m, amp in modes:
         if l > L:
             raise ValueError(f"mode degree {l} above bandlimit {L}")
         c[l, L + m] += amp
-    return RadialGraphState(grid, coeffs=c)
+    return c
+
+
+def perturbed_sphere_state(
+    grid: GridSpec, radius: float, modes
+) -> RadialGraphState:
+    """rho = radius + sum of amp * Y_{l, m}, written straight into coefficients."""
+    return RadialGraphState(grid, coeffs=_mode_coeffs(grid.bandlimit, radius, modes))
 
 
 def ellipsoid_radius(theta, phi, semiaxes) -> np.ndarray:
@@ -176,15 +184,14 @@ def ellipsoid_state(grid: GridSpec, semiaxes) -> RadialGraphState:
     return RadialGraphState(grid, values=ellipsoid_radius(th, ph, semiaxes))
 
 
-def perturbed_sphere_mesh(
-    subdivisions: int, radius: float, modes, bandlimit: int = 16
-) -> TriangleMesh:
-    """Icosphere scaled radially by radius + sum amp * Y_{l, m}."""
-    base = icosphere(subdivisions)
-    L = max(bandlimit, max(l for l, _, _ in modes), 4)
-    grid = GridSpec.for_bandlimit(L)
-    state = perturbed_sphere_state(grid, radius, modes)
-    return _radial_scale(base, state)
+def perturbed_sphere_mesh(subdivisions: int, radius: float, modes) -> TriangleMesh:
+    """Icosphere scaled radially by radius + sum amp * Y_{l, m}.
+
+    The modes' coefficients, up to their largest degree, are evaluated
+    at the vertex directions; no grid or transform is built.
+    """
+    c = _mode_coeffs(max(l for l, _, _ in modes), radius, modes)
+    return _radial_scale(icosphere(subdivisions), c)
 
 
 def ellipsoid_mesh(subdivisions: int, semiaxes) -> TriangleMesh:
@@ -194,17 +201,20 @@ def ellipsoid_mesh(subdivisions: int, semiaxes) -> TriangleMesh:
 
 def sample_graph_mesh(state: RadialGraphState, subdivisions: int) -> TriangleMesh:
     """Triangulate a radial graph by radially displacing an icosphere."""
-    return _radial_scale(icosphere(subdivisions), state)
+    m = _radial_scale(icosphere(subdivisions), state.coeffs)
+    m.time = state.time
+    return m
 
 
-def _radial_scale(base: TriangleMesh, state: RadialGraphState) -> TriangleMesh:
+def _radial_scale(base: TriangleMesh, coeffs) -> TriangleMesh:
+    """Scale each vertex of base by the radius the coefficients give in its direction."""
     v = base.vertices
     theta = np.arccos(np.clip(v[:, 2] / np.linalg.norm(v, axis=1), -1.0, 1.0))
     phi = np.mod(np.arctan2(v[:, 1], v[:, 0]), 2.0 * np.pi)
-    rho = spherical.evaluate(state.coeffs, theta, phi)
-    if rho.min() <= 0.0:
+    rho = spherical.evaluate(coeffs, theta, phi)
+    if not rho.min() > 0.0:
         raise ValueError("radius field is not positive at mesh directions")
-    return TriangleMesh(rho[:, None] * v, base.faces, time=state.time)
+    return TriangleMesh(rho[:, None] * v, base.faces)
 
 
 def generate(
@@ -222,6 +232,7 @@ def generate(
 
     kind is one of 'sphere', 'perturbed', 'ellipsoid', 'obj'; backend is
     'spectral' or 'mesh'. OBJ input is mesh-only and validated on load.
+    bandlimit sizes spectral states only and subdivisions meshes only.
     """
     if backend not in ("spectral", "mesh"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -245,9 +256,7 @@ def generate(
     if kind == "sphere":
         m = icosphere(subdivisions, radius)
     elif kind == "perturbed":
-        m = perturbed_sphere_mesh(
-            subdivisions, radius, parse_modes(perturb), bandlimit
-        )
+        m = perturbed_sphere_mesh(subdivisions, radius, parse_modes(perturb))
     elif kind == "ellipsoid":
         m = ellipsoid_mesh(subdivisions, semiaxes)
     else:

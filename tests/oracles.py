@@ -4,9 +4,11 @@ Everything here is computed from closed forms or from scipy, never from
 the package under test, so agreement is evidence rather than tautology.
 The per-order transform loops take their Legendre tables from the
 caller and check only how the sums over degrees and orders are taken.
-The one exception, ``ring_ball_sums``, runs the package's exact
-ring-window kernel over every node, the exhaustive side that the
-concentration tests hold its bounds and its maximum against.
+Two take the package's own fields as input. ``ring_ball_sums`` runs the
+package's exact ring-window kernel over every node, the exhaustive side
+that the concentration tests hold its bounds and its maximum against;
+``traceless_norm_sq`` forms |A*|^2 from the graph's first and second
+derivatives by another route than the package's.
 """
 
 import numpy as np
@@ -113,6 +115,31 @@ def derivative_values_by_order(tables, x, coeffs, nlon):
     h_tp = values(im * S_t) - (x / s) * u_p
     h_pp = values(im * im * S) + s * x * u_t
     return u_t, u_p, values(S_tt), h_tp, h_pp
+
+
+def traceless_norm_sq(rho, r_t, r_p, h_tt, h_tp, h_pp, sin_t):
+    """|A*|^2 of a radial graph through the traceless tensor A* = A - (H/2) g.
+
+    Takes rho, its theta and phi derivatives and the round-sphere Hessian
+    h on the grid. A*'s covariant components are formed and raised with
+    the inverse metric, so |A*|^2 = (g^{-1} A*)^i_j (g^{-1} A*)^j_i.
+    """
+    S2 = sin_t[:, None] ** 2
+    Phi = rho * rho + r_t * r_t + r_p * r_p / S2
+    sqPhi = np.sqrt(Phi)
+    A = np.array([
+        [-(rho * h_tt - 2.0 * r_t * r_t - rho * rho), -(rho * h_tp - 2.0 * r_t * r_p)],
+        [-(rho * h_tp - 2.0 * r_t * r_p), -(rho * h_pp - 2.0 * r_p * r_p - rho * rho * S2)],
+    ]) / sqPhi
+    g = np.array([
+        [rho * rho + r_t * r_t, r_t * r_p],
+        [r_t * r_p, rho * rho * S2 + r_p * r_p],
+    ])
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    gi = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
+    H = np.einsum("ij...,ji...->...", gi, A)
+    Wo = np.einsum("ik...,kj...->ij...", gi, A - 0.5 * H * g)
+    return np.einsum("ij...,ji...->...", Wo, Wo)
 
 
 def tree_ball_max(points, centers, density, radius):

@@ -6,6 +6,7 @@ printed tables.
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,61 @@ def test_generate_rejects_bad_requests():
         shapes.generate("obj", "spectral", mesh_path="x.obj")
     with pytest.raises(ValueError, match="chart"):
         shapes.generate("perturbed", "spectral", perturb="2,0,4.0")
+
+
+MESH_MODES = ["2,0,0.05", "2,0,0.05;3,1,0.02;5,-2,0.01", "1,1,0.1;7,-7,0.003", "0,0,0.2"]
+
+
+@pytest.mark.parametrize("perturb", MESH_MODES)
+@pytest.mark.parametrize("subdivisions", [1, 3])
+def test_perturbed_mesh_builds_no_transform_and_keeps_its_vertices(perturb, subdivisions):
+    transform_for.cache_clear()
+    m = shapes.generate(
+        "perturbed", "mesh", bandlimit=160, subdivisions=subdivisions, perturb=perturb
+    )
+    assert transform_for.cache_info().currsize == 0
+    # the route through a spectral state at bandlimit 16, bit for bit
+    state = shapes.perturbed_sphere_state(
+        spherical.GridSpec.for_bandlimit(16), 1.0, shapes.parse_modes(perturb)
+    )
+    v = shapes.icosphere(subdivisions).vertices
+    theta = np.arccos(np.clip(v[:, 2] / np.linalg.norm(v, axis=1), -1.0, 1.0))
+    phi = np.mod(np.arctan2(v[:, 1], v[:, 0]), 2.0 * np.pi)
+    ref = spherical.evaluate(state.coeffs, theta, phi)[:, None] * v
+    assert m.vertices.tobytes() == ref.tobytes()
+
+
+def test_a_mesh_run_holds_no_memory_for_the_bandlimit(tmp_path):
+    import scipy.sparse  # noqa: F401  imports are not the run's memory
+    import scipy.spatial  # noqa: F401
+
+    args = ["simulate", "--set", "backend=mesh", "--set", "shape.kind=perturbed",
+            "--set", "shape.perturb=2,0,0.05", "--set", "shape.subdivisions=2",
+            "--set", "t_end=1e-4", "--set", "bandlimit=160"]
+    transform_for.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(args + ["--set", f"out.dir={tmp_path}"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the bandlimit-160 tables alone would take about 94 MB
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("amp", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("backend", ["spectral", "mesh"])
+def test_non_finite_mode_amplitudes_are_refused(amp, backend):
+    with pytest.raises(ValueError, match="non-finite"):
+        shapes.parse_modes(f"2,0,{amp}")
+    with pytest.raises(ValueError, match="non-finite"):
+        shapes.generate("perturbed", backend, subdivisions=1, perturb=f"3,1,0.1;2,0,{amp}")
+
+
+def test_a_mesh_refuses_a_radius_that_is_not_a_positive_number():
+    with pytest.raises(ValueError, match="not positive"):
+        shapes.perturbed_sphere_mesh(1, 1.0, [(2, 0, np.nan)])
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +339,18 @@ def test_spectrum_scales_with_radius(capsys):
 def test_spectrum_rejects_negative_lmax(capsys):
     assert main(["spectrum", "--lmax", "-2"]) == 1
     assert "lmax" in capsys.readouterr().err
+
+
+def test_spectrum_refuses_an_lmax_past_the_file_degree(capsys):
+    top = spherical.MAX_FILE_DEGREE
+    assert main(["spectrum", "--lmax", str(top + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "lmax" in err
+    assert main(["spectrum", "--lmax", str(top)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == top + 2
+    assert lines[-1].startswith(f"{top},-")
 
 
 @pytest.mark.parametrize("rho_inf", ["nan", "-1", "0"])

@@ -8,7 +8,7 @@ and classical identities (Gauss-Bonnet, isoperimetric inequality).
 import numpy as np
 import pytest
 
-from oracles import ellipsoid_curvatures
+from oracles import ellipsoid_curvatures, traceless_norm_sq
 from triheat import radial, shapes
 from triheat.radial import RadialGraphState
 from triheat.spherical import GridSpec, transform_for
@@ -149,7 +149,7 @@ def test_bundle_on_round_sphere():
     state = shapes.sphere_state(GRID, 2.0)
     b = radial.curvature_bundle(state)
     assert np.abs(b.gauss - 0.25).max() <= 1e-12
-    assert np.abs(b.norm_ao_sq).max() <= 1e-24
+    assert np.abs(b.norm_ao_sq).max() <= 1e-30
     assert np.abs(b.measure - 4.0).max() <= 1e-12
     assert np.abs(b.norm_a_sq - 0.5).max() <= 1e-12
 
@@ -190,6 +190,31 @@ def test_pointwise_curvature_identities():
     assert np.abs(b.norm_a_sq - lhs).max() <= 1e-9 * scale
     rhs = 0.5 * b.mean**2 - 2.0 * b.gauss
     assert np.abs(b.norm_ao_sq - rhs).max() <= 1e-9 * scale
+
+
+THREE_MODES = [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: shapes.perturbed_sphere_state(GRID, 1.0, THREE_MODES),
+        lambda: shapes.perturbed_sphere_state(GridSpec.for_bandlimit(64), 1.0, THREE_MODES),
+        lambda: shapes.perturbed_sphere_state(GRID, 1.0, [(2, 0, 0.001)]),
+        lambda: shapes.ellipsoid_state(GridSpec.for_bandlimit(32), (1.0, 1.0, 1.2)),
+    ],
+    ids=["three_modes_l16", "three_modes_l64", "near_round", "ellipsoid"],
+)
+def test_traceless_norm_matches_the_traceless_tensor_route(make):
+    """|A*|^2 from the mixed shape operator vs A* = A - (H/2) g raised by g^-1."""
+    state = make()
+    geo = radial._geometry(state)
+    ref = traceless_norm_sq(
+        *(geo[k] for k in ("rho", "r_t", "r_p", "h_tt", "h_tp", "h_pp")),
+        transform_for(state.grid).sin_t,
+    )
+    got = radial.curvature_bundle(state).norm_ao_sq
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
