@@ -119,9 +119,12 @@ class Trajectory:
     values, or vertices) but not the fields cached on it: the run drops
     those once it steps past a record, and the final entry's once its
     record is taken, so what a run returns grows by about the
-    coordinates per record. A query on a recorded state rebuilds its
-    fields, concentration included, to the bits the record was computed
-    from.
+    coordinates per record. On a mesh the dropped fields include the
+    topology entry, which the running state hands on to the next one;
+    the finished entries share only their faces and the concentration
+    memo. A query on a recorded state rebuilds its fields, a mesh's
+    topology entry included, to the bits the record was computed from,
+    and a mesh's concentration is certified from the memo.
 
     ``stop_reason`` is 'converged' (sup |A*| fell below the stop
     threshold at a record; on a mesh only at a record where no vertex

@@ -73,7 +73,8 @@ class TriangleMesh:
     a step, translation or rescaling makes from this one, together with
     the memo of the last full concentration pass (:func:`concentration`).
     The face geometry of the vertex positions is built once, into
-    ``_cache``.
+    ``_cache``. :meth:`forget_fields` drops the cache and the topology
+    entry, not the memo.
     """
 
     __slots__ = ("vertices", "faces", "time", "_cache", "_topology", "_memo")
@@ -154,9 +155,13 @@ class TriangleMesh:
             )
 
     def forget_fields(self) -> None:
-        """Drop the cached geometry, operators and curvatures; the next query
-        rebuilds them from the vertices, to the same bits."""
+        """Drop the cached geometry, operators and curvatures, and this
+        mesh's hold on the topology entry; the next query rebuilds them
+        from the vertices and faces, to the same bits. Meshes already made
+        from this one keep the entry, and all keep the concentration memo,
+        from which a later concentration can still be certified."""
         self._cache = {}
+        self._topology = None
 
     def translated(self, offset) -> "TriangleMesh":
         return self._moved(self.vertices + _point(offset, "offset"), self.time)
@@ -264,7 +269,8 @@ def _closed_slots(I, J, n: int):
 
 
 def _topology(mesh: TriangleMesh) -> _Topology:
-    """The mesh's topology entry, built here if it has none for its faces."""
+    """The mesh's topology entry, built here if it has none for its faces
+    (a new mesh, or one whose fields were forgotten)."""
     topo = mesh._topology
     if topo is not None and topo.faces is mesh.faces:
         return topo

@@ -412,13 +412,36 @@ def test_mesh_steps_equal_steps_on_meshes_built_afresh():
     assert cached.time == bare.time
 
 
-def test_a_mesh_run_builds_its_topology_once():
-    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1)])
-    traj = flow.run(m, 30 * flow.auto_dt(m), cadence=10)
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one for each call of module.name."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_mesh_run_builds_its_topology_once(monkeypatch):
+    make = lambda: shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1)])
+    # dt from another copy, so that the run's mesh builds its own entry
+    dt = flow.auto_dt(make())
+    builds = count_calls(monkeypatch, mesh, "_closed_slots")
+    traj = flow.run(make(), 30 * dt, dt=dt, cadence=10)
     assert traj.meta["steps"] == 30
-    topo = mesh._topology(m)
-    assert all(e.state._topology is topo for e in traj.entries)
-    assert flow.rescale(traj.final_state, 2.0)._topology is topo
+    assert len(builds) == 1
+    # a live mesh hands its entry on to every mesh made from it
+    live = make()
+    topo = mesh._topology(live)
+    for made in (
+        flow.step_mesh(live, dt),
+        live.translated((0.1, 0.0, 0.0)),
+        flow.rescale(live, 2.0),
+    ):
+        assert made._topology is topo
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +476,22 @@ def test_a_finished_run_keeps_no_cached_fields(state):
         assert got.as_tuple() == e.record.as_tuple()
 
 
+def test_a_finished_mesh_run_holds_no_topology(monkeypatch):
+    m = shapes.perturbed_sphere_mesh(3, 1.0, [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)])
+    traj = flow.run(m, 20 * flow.auto_dt(m), cadence=5)
+    assert len(traj.entries) == 5
+    assert all(e.state._topology is None for e in traj.entries)
+    builds = count_calls(monkeypatch, mesh, "_closed_slots")
+    passes = count_calls(monkeypatch, mesh, "_ball_sums")
+    for k, e in enumerate(traj.entries, start=1):
+        # the entry is rebuilt from the faces, and alpha certified from
+        # the memo the run's meshes share
+        got = diagnostics.compute_record(e.state)
+        assert got.as_tuple() == e.record.as_tuple()
+        assert len(builds) == k
+    assert passes == []
+
+
 @pytest.mark.parametrize("backend", ["spectral", "mesh"])
 def test_a_finished_run_retains_about_its_coordinates(backend):
     modes = [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]
@@ -464,10 +503,9 @@ def test_a_finished_run_retains_about_its_coordinates(backend):
     # concentration pass, whose allocations would swamp the count
     warm = make()
     flow.run(warm, 4 * flow.auto_dt(warm))
+    # the run's state is fresh, so its mesh topology is built in the window
     st = make()
-    if backend == "mesh":
-        st.validate()  # the topology, shared by every entry
-    dt = flow.auto_dt(st)
+    dt = flow.auto_dt(make())
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -484,7 +522,8 @@ def test_a_finished_run_retains_about_its_coordinates(backend):
         coords += memo.density.nbytes + memo.padded.nbytes
     else:
         coords = sum(s.coeffs.nbytes + s.values.nbytes for s in states)
-    # the final entry's cached fields alone would add 2.4-2.7 times this
+    # the final entry's cached fields alone would add 2.4-2.7 times this,
+    # and a mesh's topology entry about 2.2 times
     assert held <= 1.25 * coords
 
 
