@@ -124,7 +124,10 @@ def read_csv(path):
                 continue
             vals = [float(x) for x in line.split(",")]
             if len(vals) != len(CSV_COLUMNS):
-                raise ValueError("short diagnostics row")
+                raise ValueError(
+                    f"diagnostics row has {len(vals)} fields, "
+                    f"expected {len(CSV_COLUMNS)}"
+                )
             out.append(DiagnosticsRecord(*vals))
     return out
 

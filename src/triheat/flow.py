@@ -101,7 +101,7 @@ def _mesh_step_ok(old: TriangleMesh, new: TriangleMesh) -> bool:
         return False
     # the sign of the volume from the normals at hand, with no second
     # cross product: p0 . (p1 x p2) = p0 . ((p1 - p0) x (p2 - p0))
-    return mesh_mod._row_dots(geo.p0, geo.normals.T).sum() > 0.0
+    return geo.six_volume > 0.0
 
 
 @dataclass(frozen=True)

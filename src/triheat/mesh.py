@@ -19,6 +19,12 @@ they replace by adding in the same order: norms add (x + y) + z, as
 np.linalg.norm(x, axis=1) does, and dot products (x + z) + y, as
 np.einsum("ij,ij->i", a, b) does on C-ordered arrays.
 
+Each mesh caches the index arrays its faces fix (:class:`_Topology`)
+and its face geometry (:class:`_FaceGeometry`). Neither lists the
+corners or the edges: the corners are the faces' columns, and the
+edges are read from the stiffness matrix's sparsity pattern
+(:func:`_edges`).
+
 scipy is imported where it is used, so only the mesh backend loads it:
 scipy.sparse in _topology and build_operators, which build the sparse
 matrices, and scipy.spatial in _task_pairs, for the kd-tree joins of
@@ -68,13 +74,14 @@ class TriangleMesh:
     assume every directed edge has one reverse.
 
     Index arrays that depend only on the faces (the sparsity pattern of
-    the stiffness matrix, the face corners, the edge list) live in one
-    topology entry, built on first use and handed on to every mesh that
-    a step, translation or rescaling makes from this one, together with
-    the memo of the last full concentration pass (:func:`concentration`).
-    The face geometry of the vertex positions is built once, into
-    ``_cache``. :meth:`forget_fields` drops the cache and the topology
-    entry, not the memo.
+    the stiffness matrix and the vertex sums of corner and face values;
+    the corners and the edge list are read from the faces and the
+    pattern) live in one topology entry, built on first use and handed
+    on to every mesh that a step, translation or rescaling makes from
+    this one, together with the memo of the last full concentration
+    pass (:func:`concentration`). The face geometry of the vertex
+    positions is built once, into ``_cache``. :meth:`forget_fields`
+    drops the cache and the topology entry, not the memo.
     """
 
     __slots__ = ("vertices", "faces", "time", "_cache", "_topology", "_memo")
@@ -136,7 +143,9 @@ class TriangleMesh:
         # the topology pairs each directed edge with its reverse, and
         # raises when the edges repeat or do not close up
         topo = _topology(self)
-        euler = len(v) - len(topo.edges) + len(f)
+        # W has a slot for each vertex and for each directed edge, and
+        # every undirected edge is two directed ones
+        euler = len(v) - (len(topo.indices) - len(v)) // 2 + len(f)
         if euler != 2:
             raise ValueError(f"Euler characteristic {euler}, expected 2 (sphere)")
         # large coordinates overflow: the squared areas are fourth powers
@@ -191,13 +200,19 @@ def _point(x, name: str) -> np.ndarray:
 
 
 class _Topology(NamedTuple):
-    """Index arrays fixed by a faces array, shared by the meshes on it."""
+    """Index arrays fixed by a faces array, shared by the meshes on it.
+
+    The corners of the faces are the faces' columns, and the undirected
+    edges the slots of W above its diagonal (:func:`_edges`), so the
+    entry keeps neither.
+    """
 
     faces: np.ndarray  # the array this entry was built from
-    corners: np.ndarray  # f.T.ravel(): corner k of every face, k = 0, 1, 2
-    # 0/1 matrices, (n, 3F) and (n, F): row v picks the corners of v, and
-    # the faces of those corners, in corner order. A product sums as
-    # np.bincount(corners, x) does: from 0.0, in corner order
+    # 0/1 matrices, (n, 3F) and (n, F), on one data array of ones and one
+    # indptr: row v picks the corners of v, corner k of face f at
+    # k * F + f, and the faces of those corners, in corner order. A
+    # product sums as np.bincount(f.T.ravel(), x) does: from 0.0, in
+    # corner order
     vertex_corners: sp.csr_matrix
     vertex_faces: sp.csr_matrix
     indptr: np.ndarray  # CSR pattern of W, diagonal included
@@ -209,7 +224,6 @@ class _Topology(NamedTuple):
     off: np.ndarray  # the off-diagonal positions of W.data, row by row
     rows: np.ndarray  # rows with off-diagonal entries
     starts: np.ndarray  # where each of those rows begins in W.data[off]
-    edges: np.ndarray  # undirected edges (a, b), a < b, sorted by a * n + b
 
 
 def _stable_argsort(keys: np.ndarray, top: int):
@@ -296,12 +310,15 @@ def _topology(mesh: TriangleMesh) -> _Topology:
     )
     off_indptr = pattern.indptr - np.arange(n + 1)
     rows = np.flatnonzero(np.diff(off_indptr))
-    up = r < c
+    vertex_corners = sp.csr_matrix((ones, q, by_vertex), shape=(n, 3 * F))
     topo = _Topology(
         faces=f,
-        corners=corners,
-        vertex_corners=sp.csr_matrix((ones, q, by_vertex), shape=(n, 3 * F)),
-        vertex_faces=sp.csr_matrix((ones, q % F, by_vertex), shape=(n, F)),
+        vertex_corners=vertex_corners,
+        # on vertex_corners' ones and indptr: scipy has picked the index
+        # dtype already, so it copies neither
+        vertex_faces=sp.csr_matrix(
+            (vertex_corners.data, q % F, vertex_corners.indptr), shape=(n, F)
+        ),
         indptr=pattern.indptr,
         indices=pattern.indices,
         pairs=pairs,
@@ -309,7 +326,6 @@ def _topology(mesh: TriangleMesh) -> _Topology:
         off=off,
         rows=rows,
         starts=off_indptr[rows],
-        edges=np.stack([r[up], c[up]], axis=1),
     )
     mesh._topology = topo
     return topo
@@ -320,17 +336,28 @@ class _FaceGeometry(NamedTuple):
 
     ``normals`` is an (F, 3) view of (3, F) rows, so ``.T`` gives the rows
     back without a copy. Edge k, e_k, faces corner k: e0 = p2 - p1,
-    e1 = p0 - p2, e2 = p1 - p0.
+    e1 = p0 - p2, e2 = p1 - p0 (``_EDGE_ENDS``). Neither the corners nor
+    the edge lengths are kept: the step reads only the least length and
+    the sign of the volume, and :func:`_edge_lengths` takes the lengths
+    again from the corners.
     """
 
-    # (3, F): corner 0 alone, which the step's volume-sign check reads;
-    # signed_volume gathers all three corners again
-    p0: np.ndarray
-    lengths: np.ndarray  # (3, F): |e0|, |e1|, |e2|, summed (x0 + x1) + x2
     sq_lengths: np.ndarray  # (3, F): |e_k|^2 summed (x0 + x2) + x1
     dots: np.ndarray  # (3, F): at corner k, the dot of the two edges leaving it
     normals: np.ndarray  # cross(p1 - p0, p2 - p0), length 2 * area, outward
     dbl_areas: np.ndarray
+    # the least |e_k|, its squares summed (x0 + x1) + x2 as np.linalg.norm
+    # sums them: the square root rounds monotonically, so it is the least
+    # of the norms to the bit
+    min_length: float
+    # the sum of p0 . normals, six times the volume, whose sign the step
+    # checks; p0 . (p1 x p2) = p0 . ((p1 - p0) x (p2 - p0)), and
+    # signed_volume takes the left side
+    six_volume: float
+
+
+# the ends (a, b) of edge e_k = p_a - p_b, k = 0, 1, 2
+_EDGE_ENDS = ((2, 1), (0, 2), (1, 0))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -366,18 +393,32 @@ def _row_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edges(mesh: TriangleMesh):
+    """The undirected edges as (a, b), a < b, each once, sorted by a * n + b.
+
+    They are the slots of W above its diagonal, in CSR order.
+    """
+    topo = _topology(mesh)
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(topo.indptr))
+    up = rows < topo.indices
+    return rows[up], topo.indices[up].astype(np.intp)
+
+
 def _corner_rows(mesh: TriangleMesh):
     """p0, p1, p2: the three corners of every face as (3, F) coordinate rows."""
-    corners = _topology(mesh).corners
-    F = mesh.n_faces
+    # the topology checks the indices, and a take into out= that may raise
+    # buffers
+    _topology(mesh)
+    f, F = mesh.faces, mesh.n_faces
     vt = mesh.vertices.T.copy()
     # p[c][k]: coordinate k of corner c of every face, each corner an array
-    # of its own, so that one can be kept without the others. The topology
-    # has checked the indices, and a take into out= that may raise buffers
+    # of its own
     p = tuple(np.empty((3, F)) for _ in range(3))
-    for k in range(3):
-        for c in range(3):
-            np.take(vt[k], corners[c * F : (c + 1) * F], out=p[c][k], mode="clip")
+    for c in range(3):
+        # np.take copies a strided index array on every call: copy it once
+        corner = f[:, c].copy()
+        for k in range(3):
+            np.take(vt[k], corner, out=p[c][k], mode="clip")
     return p
 
 
@@ -389,15 +430,15 @@ def _faces(mesh: TriangleMesh) -> _FaceGeometry:
     F = mesh.n_faces
     # e[j, k]: coordinate k of edge j
     e = np.empty((3, 3, F))
-    for j, (a, b) in enumerate(((2, 1), (0, 2), (1, 0))):
+    for j, (a, b) in enumerate(_EDGE_ENDS):
         np.subtract(p[a], p[b], out=e[j])
     # the squares serve both orders: norms add (x0 + x1) + x2, as
     # np.linalg.norm does, and squared lengths (x0 + x2) + x1, as np.einsum
     s = e * e
-    lengths = np.add(s[:, 0], s[:, 1])
-    lengths += s[:, 2]
-    np.sqrt(lengths, out=lengths)
-    sq = np.add(s[:, 0], s[:, 2])
+    norm_sq = np.add(s[:, 0], s[:, 1])
+    norm_sq += s[:, 2]
+    min_length = float(np.sqrt(norm_sq.min()))
+    sq = np.add(s[:, 0], s[:, 2], out=norm_sq)
     sq += s[:, 1]
     # the corner dots of -e_{k+1} and e_{k+2}: the sum of the plain
     # products, negated, since rounding is symmetric
@@ -408,15 +449,22 @@ def _faces(mesh: TriangleMesh) -> _FaceGeometry:
     # p2 - p0 is -e1 to the last bit too, so cross(e2, -e1) = cross(e1, e2)
     fn = _row_cross(e[1], e[2])
     geo = _FaceGeometry(
-        p0=p[0],
-        lengths=lengths,
         sq_lengths=sq,
         dots=dots,
         normals=fn.T,
         dbl_areas=_row_norms(fn),
+        min_length=min_length,
+        six_volume=float(_row_dots(p[0], fn).sum()),
     )
     mesh._cache["faces"] = geo
     return geo
+
+
+def _edge_lengths(mesh: TriangleMesh):
+    """|e0|, |e1|, |e2| of every face, summed (x0 + x1) + x2 as the face
+    geometry sums them for its least length."""
+    p = _corner_rows(mesh)
+    return tuple(_row_norms(p[a] - p[b]) for a, b in _EDGE_ENDS)
 
 
 def build_operators(mesh: TriangleMesh):
@@ -523,7 +571,7 @@ def gauss_curvature(mesh: TriangleMesh) -> np.ndarray:
     f = mesh.faces
     defect = np.full(mesh.n_vertices, 2.0 * np.pi)
     geo = _faces(mesh)
-    l0, l1, l2 = geo.lengths
+    l0, l1, l2 = _edge_lengths(mesh)
     # corner k lies between the edges e_{k+2} and -e_{k+1}
     for k, (dot, la, lb) in enumerate(zip(geo.dots, (l2, l0, l1), (l1, l2, l0))):
         cosang = dot / (la * lb)
@@ -561,9 +609,10 @@ def signed_volume(mesh: TriangleMesh) -> float:
 
 
 def min_edge_length(mesh: TriangleMesh) -> float:
-    # the norms, not the square root of the least squared length, which
-    # can differ in the last bit and so move auto_dt
-    return float(_faces(mesh).lengths.min())
+    # the least of the norms, not the square root of the least squared
+    # length, which adds in another order, can differ in the last bit and
+    # so move auto_dt
+    return _faces(mesh).min_length
 
 
 def dirichlet_energy(mesh: TriangleMesh, u: np.ndarray) -> float:
@@ -609,8 +658,7 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     v = mesh.vertices
     if _covered(v, density, radius):
         return float(density.sum())
-    # the topology lists each undirected edge once
-    a, b = _topology(mesh).edges.T
+    a, b = _edges(mesh)
     mids = np.take(v, a, axis=0)
     mids += np.take(v, b, axis=0)
     centers = np.concatenate([v, mids / 2.0])

@@ -634,3 +634,13 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("time,area,volume\n0.0,1.0,1.0\n")
     with pytest.raises(ValueError, match="header"):
         diagnostics.read_csv(path)
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+def test_csv_names_the_field_count_of_a_bad_row(tmp_path, extra):
+    n = len(diagnostics.CSV_COLUMNS)
+    path = tmp_path / "bad.csv"
+    row = ",".join(["1.0"] * (n + extra))
+    path.write_text(diagnostics.csv_header() + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=f"has {n + extra} fields, expected {n}"):
+        diagnostics.read_csv(path)

@@ -295,8 +295,11 @@ def test_face_geometry_equals_the_norm_and_cross_reference(n, jitter):
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     fn = np.cross(p1 - p0, p2 - p0)
     geo = mesh._faces(m)
-    for got, (a, b) in zip(geo.lengths, ((p1, p2), (p2, p0), (p0, p1))):
-        assert np.array_equal(got, np.linalg.norm(b - a, axis=1))
+    ends = ((p1, p2), (p2, p0), (p0, p1))
+    lengths = [np.linalg.norm(b - a, axis=1) for a, b in ends]
+    for got, want in zip(mesh._edge_lengths(m), lengths):
+        assert np.array_equal(got, want)
+    assert geo.min_length == min(x.min() for x in lengths)
     assert np.array_equal(geo.normals, fn)
     assert np.array_equal(geo.dbl_areas, np.linalg.norm(fn, axis=1))
     volume = float(np.einsum("ij,ij->i", p0, np.cross(p1, p2)).sum() / 6.0)
@@ -760,7 +763,7 @@ def curvature_mass(m):
 
 def centers_of(v, m):
     """Vertices v, then the midpoints of m's edges, as concentration lists them."""
-    a, b = mesh._topology(m).edges.T
+    a, b = mesh._edges(m)
     return np.concatenate([v, (v[a] + v[b]) / 2.0])
 
 
@@ -774,7 +777,7 @@ def test_memo_bounds_hold_and_the_settled_max_is_exact(seed, reach, change):
     """Vertices moved by up to reach * _ETA r / 2 and a density scaled
     by up to 1 +- change keep every ball sum within the memo's bounds."""
     radius = 0.25
-    v, a = MEMO_MESH.vertices, mesh._topology(MEMO_MESH).edges[:, 0]
+    v, a = MEMO_MESH.vertices, mesh._edges(MEMO_MESH)[0]
     density = curvature_mass(MEMO_MESH)
     _, _, padded = mesh._ball_sums(v, centers_of(v, MEMO_MESH), density, radius, a)
     memo = mesh._Memo(radius, v.copy(), density, padded)
@@ -1027,7 +1030,7 @@ def test_split_ball_sums_equal_a_dense_sum(monkeypatch):
 
 
 def test_split_ball_sums_do_not_depend_on_the_thread_count(monkeypatch):
-    v, a = MEMO_MESH.vertices, mesh._topology(MEMO_MESH).edges[:, 0]
+    v, a = MEMO_MESH.vertices, mesh._edges(MEMO_MESH)[0]
     # MEMO_MESH's 2562 vertices are cut once at the default cell size
     assert len(mesh._tasks(v, 0.3)) == 3
     args = (v, centers_of(v, MEMO_MESH), curvature_mass(MEMO_MESH), 0.25, a)
@@ -1041,7 +1044,7 @@ def test_split_ball_sums_do_not_depend_on_the_thread_count(monkeypatch):
 
 def test_ball_sums_run_at_most_a_chunk_of_distance_tests_at_once(monkeypatch):
     m = shapes.perturbed_sphere_mesh(3, 1.0, THREE_MODES)
-    v, a = m.vertices, mesh._topology(m).edges[:, 0]
+    v, a = m.vertices, mesh._edges(m)[0]
     centers, dens, radius = centers_of(v, m), curvature_mass(m), 0.25
     sizes = []
     full = mesh._sq_dists
@@ -1067,16 +1070,44 @@ def test_ball_sums_run_at_most_a_chunk_of_distance_tests_at_once(monkeypatch):
     assert abs(best - want) <= 1e-12 * abs(want)
 
 
-def test_cached_face_geometry_keeps_one_corner():
+def owned_bytes(entry, skip=None) -> int:
+    """Bytes of the arrays that own the memory of a cache's fields, each
+    owner once, the sparse matrices' three arrays included; the owner of
+    ``skip`` is left out."""
+    owners = {}
+
+    def add(x):
+        if isinstance(x, tuple):
+            for y in x:
+                add(y)
+        elif sp.issparse(x):
+            add((x.data, x.indices, x.indptr))
+        elif isinstance(x, np.ndarray):
+            owner = x if x.base is None else x.base
+            owners[id(owner)] = owner.nbytes
+
+    add(tuple(entry))
+    if skip is not None:
+        owners.pop(id(skip if skip.base is None else skip.base), None)
+    return sum(owners.values())
+
+
+def test_cached_face_geometry_keeps_no_corner():
     m = shapes.perturbed_sphere_mesh(3, 1.0, THREE_MODES)
     m.validate()
-    # the arrays that own the memory of the cached fields, each once
-    owners = {}
-    for field in m._cache["faces"]:
-        for x in field if isinstance(field, tuple) else (field,):
-            owner = x if x.base is None else x.base
-            owners[id(owner)] = owner.size
-    assert sum(owners.values()) <= 16 * m.n_faces
+    assert owned_bytes(m._cache["faces"]) <= 10 * 8 * m.n_faces
+
+
+def test_a_mesh_owns_a_bounded_number_of_bytes_per_face():
+    """The topology entry and the face cache, the faces array excluded,
+    at 20480 faces: 150 and 80 bytes a face (2.93 and 1.56 MiB). The
+    corners and the edges in the entry would add 48 bytes a face, the
+    first corner's coordinates and the edge lengths in the cache 48."""
+    m = shapes.icosphere(5)
+    m.validate()
+    topo = mesh._topology(m)
+    assert owned_bytes(topo, skip=m.faces) <= 152 * m.n_faces
+    assert owned_bytes(mesh._faces(m)) <= 80 * m.n_faces
 
 
 def test_exact_sums_do_not_depend_on_the_centers_beside_them(monkeypatch):

@@ -341,6 +341,20 @@ def test_evaluate_matches_harmonic_sum_off_grid():
     assert np.abs(pts - ref).max() <= 1e-12
 
 
+def test_evaluate_broadcasts_theta_against_phi():
+    """One colatitude against many longitudes equals the call on equal
+    shapes, either way round; shapes that do not broadcast are refused."""
+    c = random_coeffs(GRID, 18)
+    th, ph = np.array([0.1, 0.2, 0.3]), np.array([0.4, 1.5, 2.6])
+    for a, b in ((0.3, ph), (th, 0.3), (th[:, None], ph[None, :])):
+        want = evaluate(c, *(x.ravel() for x in np.broadcast_arrays(a, b)))
+        got = evaluate(c, a, b)
+        assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+        assert got.ravel().tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="do not broadcast"):
+        evaluate(c, th, ph[:2])
+
+
 # ---------------------------------------------------------------------------
 # shape checks
 # ---------------------------------------------------------------------------
