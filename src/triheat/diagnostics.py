@@ -118,16 +118,23 @@ def read_csv(path):
         header = fh.readline().strip()
         if header != csv_header():
             raise ValueError(f"unexpected diagnostics header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            vals = [float(x) for x in line.split(",")]
-            if len(vals) != len(CSV_COLUMNS):
+            fields = line.split(",")
+            if len(fields) != len(CSV_COLUMNS):
                 raise ValueError(
-                    f"diagnostics row has {len(vals)} fields, "
-                    f"expected {len(CSV_COLUMNS)}"
+                    f"line {lineno}: diagnostics row has {len(fields)} fields, "
+                    f"expected {len(CSV_COLUMNS)} numbers ({csv_header()})"
                 )
+            try:
+                vals = [float(x) for x in fields]
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: diagnostics row holds a non-numeric field, "
+                    f"expected {len(CSV_COLUMNS)} numbers ({csv_header()})"
+                ) from None
             out.append(DiagnosticsRecord(*vals))
     return out
 

@@ -23,14 +23,17 @@ Each mesh caches the index arrays its faces fix (:class:`_Topology`)
 and its face geometry (:class:`_FaceGeometry`). Neither lists the
 corners or the edges: the corners are the faces' columns, and the
 edges are read from the stiffness matrix's sparsity pattern
-(:func:`_edges`).
+(:func:`_edges`). The index arrays come from scipy's COO -> CSR
+conversion, which sorts each row by column: of the corner numbers at
+their vertices, and of the half-edge numbers at each directed edge and
+at its reverse (:func:`_closed_slots`).
 
 scipy is imported where it is used, so only the mesh backend loads it:
-scipy.sparse in _topology and build_operators, which build the sparse
-matrices, and scipy.spatial in _task_pairs, for the kd-tree joins of
-concentration's full pass, and in _ball_sums, for its nearest-point
-fallback. The joins run on at most two threads, started by the pass
-and joined before it returns.
+scipy.sparse in _topology, _closed_slots and build_operators, which
+build the sparse matrices, and scipy.spatial in _task_pairs, for the
+kd-tree joins of concentration's full pass, and in _ball_sums, for its
+nearest-point fallback. The joins run on at most two threads, started
+by the pass and joined before it returns.
 """
 
 from __future__ import annotations
@@ -204,7 +207,9 @@ class _Topology(NamedTuple):
 
     The corners of the faces are the faces' columns, and the undirected
     edges the slots of W above its diagonal (:func:`_edges`), so the
-    entry keeps neither.
+    entry keeps neither. W's off-diagonal pattern and ``pairs`` are the
+    CSR matrices of :func:`_closed_slots`, with each row's diagonal
+    inserted after the columns below it.
     """
 
     faces: np.ndarray  # the array this entry was built from
@@ -226,27 +231,6 @@ class _Topology(NamedTuple):
     starts: np.ndarray  # where each of those rows begins in W.data[off]
 
 
-def _stable_argsort(keys: np.ndarray, top: int):
-    """np.argsort(keys, kind="stable") of int64 keys in [0, top), and the
-    sorted keys.
-
-    numpy sorts int64 values about 2.5x faster than it argsorts them, and
-    int32 values 2x faster again, so when key and index fit in one int32
-    or int64 together, the packed values are sorted instead.
-    """
-    shift = max(len(keys) - 1, 1).bit_length()
-    bits = max(top - 1, 1).bit_length() + shift
-    if bits > 62:
-        order = np.argsort(keys, kind="stable")
-        return order, np.take(keys, order)
-    packed = np.left_shift(keys, shift, dtype=np.int32 if bits <= 31 else np.int64)
-    packed |= np.arange(len(keys), dtype=packed.dtype)
-    packed.sort()
-    order = packed & ((1 << shift) - 1)
-    packed >>= shift
-    return order, packed
-
-
 def _closed_slots(I, J, n: int):
     """The slots of W and their terms on a closed oriented manifold.
 
@@ -254,32 +238,33 @@ def _closed_slots(I, J, n: int):
     at k * F + f, which carries that corner's half-cotangent. On a closed
     oriented manifold every directed edge i -> j is the half-edge of one
     face and j -> i that of one other, so the off-diagonal slots are the
-    half-edges, and the slot (i, j) gets the terms of i -> j and j -> i:
-    sorting the keys of the half-edges and of their reverses pairs them.
-    Returns the row and column of every slot of W in CSR order, and the
-    (2, 3F) pairs of terms of the off-diagonal slots. Raises ValueError,
-    with the message of :meth:`TriangleMesh.validate`, when a directed
-    edge repeats, one has no reverse, or one joins a vertex to itself.
+    half-edges, and the slot (i, j) gets the terms of i -> j and j -> i.
+
+    scipy's COO -> CSR conversion sorts each row by column and sums
+    repeated entries. So the half-edge numbers put at (I, J) and at
+    (J, I) give, slot by slot in CSR order, the two terms of each slot.
+    A repeated directed edge leaves fewer slots than half-edges, and one
+    without a reverse makes the two patterns differ. Returns the two
+    CSR matrices; their ``data``, stacked, are the (2, 3F) pairs of
+    terms. Raises ValueError, with the message of
+    :meth:`TriangleMesh.validate`, when a directed edge joins a vertex
+    to itself, repeats, or has no reverse.
     """
-    fwd_order, fwd = _stable_argsort(I * n + J, n * n)
-    if np.any(fwd[1:] == fwd[:-1]):
-        raise ValueError("directed edge repeats; mesh is not an oriented manifold")
-    rev_order, rev = _stable_argsort(J * n + I, n * n)
-    if not np.array_equal(fwd, rev):
-        raise ValueError("mesh has boundary or inconsistent orientation")
-    r, c = np.take(I, fwd_order), np.take(J, fwd_order)
-    if np.any(r == c):
+    import scipy.sparse as sp
+
+    if np.any(I == J):
         raise ValueError("mesh has degenerate faces (repeated vertex)")
-    # each row's diagonal goes after the columns below it
-    d = np.arange(n)
-    diag = np.searchsorted(fwd, d * (n + 1)) + d
-    is_off = np.ones(len(fwd) + n, dtype=bool)
-    is_off[diag] = False
-    rows = np.empty(len(is_off), dtype=I.dtype)
-    cols = np.empty_like(rows)
-    rows[is_off], cols[is_off] = r, c
-    rows[diag], cols[diag] = d, d
-    return rows, cols, np.stack([fwd_order, rev_order])
+    halves = np.arange(len(I))
+    fwd = sp.csr_matrix((halves, (I, J)), shape=(n, n))
+    if fwd.nnz < len(I):
+        raise ValueError("directed edge repeats; mesh is not an oriented manifold")
+    rev = sp.csr_matrix((halves, (J, I)), shape=(n, n))
+    if not (
+        np.array_equal(fwd.indptr, rev.indptr)
+        and np.array_equal(fwd.indices, rev.indices)
+    ):
+        raise ValueError("mesh has boundary or inconsistent orientation")
+    return fwd, rev
 
 
 def _topology(mesh: TriangleMesh) -> _Topology:
@@ -295,37 +280,42 @@ def _topology(mesh: TriangleMesh) -> _Topology:
     if f.min(initial=0) < 0 or f.max(initial=-1) >= n:
         raise ValueError("face indices out of range")
     F = len(f)
-    corners = f.T.ravel()
-    q, _ = _stable_argsort(corners, n)
-    ones = np.ones(3 * F)
-    by_vertex = np.concatenate([[0], np.cumsum(np.bincount(corners, minlength=n))])
+    # corner k of face f at k * F + f, summed in corner order
+    vertex_corners = sp.csr_matrix(
+        (np.ones(3 * F), (f.T.ravel(), np.arange(3 * F))), shape=(n, 3 * F)
+    )
     i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
     I, J = np.concatenate([i1, i2, i0]), np.concatenate([i2, i0, i1])
-    r, c, pairs = _closed_slots(I, J, n)
-    on_diag = r == c
-    off = np.flatnonzero(~on_diag)
-    # scipy picks the index dtype once, so filling W later copies nothing
-    pattern = sp.csr_matrix(
-        (np.zeros(len(r)), c, np.searchsorted(r, np.arange(n + 1))), shape=(n, n)
-    )
-    off_indptr = pattern.indptr - np.arange(n + 1)
-    rows = np.flatnonzero(np.diff(off_indptr))
-    vertex_corners = sp.csr_matrix((ones, q, by_vertex), shape=(n, 3 * F))
+    fwd, rev = _closed_slots(I, J, n)
+    # W's pattern is fwd's with each row's diagonal after the columns below it
+    counts = np.diff(fwd.indptr)
+    r = np.repeat(np.arange(n), counts)
+    above = fwd.indices > r
+    diag = fwd.indptr[:-1] + np.bincount(r[~above], minlength=n) + np.arange(n)
+    # a slot moves past the diagonals of the rows before it, and past its
+    # own row's when its column lies above that diagonal
+    off = np.arange(len(r)) + r + above
+    indices = np.empty(len(off) + n, dtype=fwd.indices.dtype)
+    indices[off] = fwd.indices
+    indices[diag] = np.arange(n)
+    rows = np.flatnonzero(counts)
     topo = _Topology(
         faces=f,
         vertex_corners=vertex_corners,
         # on vertex_corners' ones and indptr: scipy has picked the index
         # dtype already, so it copies neither
         vertex_faces=sp.csr_matrix(
-            (vertex_corners.data, q % F, vertex_corners.indptr), shape=(n, F)
+            (vertex_corners.data, vertex_corners.indices % F, vertex_corners.indptr),
+            shape=(n, F),
         ),
-        indptr=pattern.indptr,
-        indices=pattern.indices,
-        pairs=pairs,
-        diag=np.flatnonzero(on_diag),
+        # in the index dtype scipy picked for fwd, so filling W copies nothing
+        indptr=fwd.indptr + np.arange(n + 1, dtype=fwd.indptr.dtype),
+        indices=indices,
+        pairs=np.stack([fwd.data, rev.data]),
+        diag=diag,
         off=off,
         rows=rows,
-        starts=off_indptr[rows],
+        starts=fwd.indptr[rows],
     )
     mesh._topology = topo
     return topo
@@ -1016,20 +1006,25 @@ def load_obj(path) -> TriangleMesh:
             parts = line.split()
             tag = parts[0]
             if tag == "v":
-                if len(parts) != 4:
-                    raise ValueError(f"line {lineno}: v record needs 3 coordinates")
-                verts.append([float(x) for x in parts[1:]])
+                try:
+                    x, y, z = map(float, parts[1:])
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: v record needs 3 coordinates, got {line!r}"
+                    ) from None
+                verts.append([x, y, z])
             elif tag == "f":
                 if len(parts) != 4:
                     raise ValueError(f"line {lineno}: only triangle faces supported")
-                idx = []
-                for tok in parts[1:]:
-                    i = int(tok.split("/")[0])
-                    if i <= 0:
-                        raise ValueError(
-                            f"line {lineno}: face indices must be positive"
-                        )
-                    idx.append(i - 1)
+                try:
+                    idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: f record needs 3 integer vertex indices, "
+                        f"got {line!r}"
+                    ) from None
+                if min(idx) < 0:
+                    raise ValueError(f"line {lineno}: face indices must be positive")
                 faces.append(idx)
             else:
                 raise ValueError(f"line {lineno}: unsupported record {tag!r}")

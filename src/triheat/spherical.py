@@ -472,19 +472,24 @@ def read_coeffs_csv(path, grid: GridSpec | None = None):
         header = fh.readline().strip()
         if header.replace(" ", "") != "l,m,value":
             raise ValueError(f"expected header 'l,m,value', got {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            l_s, m_s, v_s = line.split(",")
-            l, m = int(l_s), int(m_s)
+            try:
+                l_s, m_s, v_s = line.split(",")
+                l, m, value = int(l_s), int(m_s), float(v_s)
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: expected l,m,value with integers l and m, "
+                    f"got {line!r}"
+                ) from None
             if not abs(m) <= l <= MAX_FILE_DEGREE:
                 raise ValueError(
                     f"invalid row l={l}, m={m}: need |m| <= l <= {MAX_FILE_DEGREE}"
                 )
             if (l, m) in rows:
                 raise ValueError(f"repeated row l={l}, m={m}: {line!r}")
-            value = float(v_s)
             if not np.isfinite(value):
                 raise ValueError(f"non-finite coefficient in row {line!r}")
             rows[l, m] = value

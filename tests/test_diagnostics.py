@@ -644,3 +644,24 @@ def test_csv_names_the_field_count_of_a_bad_row(tmp_path, extra):
     path.write_text(diagnostics.csv_header() + "\n" + row + "\n")
     with pytest.raises(ValueError, match=f"has {n + extra} fields, expected {n}"):
         diagnostics.read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda row: row[:-1], "has 10 fields"),
+        (lambda row: row + ["1.0"], "has 12 fields"),
+        (lambda row: row[:3] + ["x"] + row[4:], "holds a non-numeric field"),
+    ],
+    ids=["short", "long", "non-numeric"],
+)
+def test_csv_names_the_line_and_layout_of_a_malformed_row(tmp_path, bad, message):
+    row = ["1.0"] * len(diagnostics.CSV_COLUMNS)
+    path = tmp_path / "bad.csv"
+    lines = [diagnostics.csv_header(), ",".join(row), "", ",".join(bad(row))]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as got:
+        diagnostics.read_csv(path)
+    text = str(got.value)
+    assert text.startswith("line 4: ") and message in text
+    assert f"expected 11 numbers ({diagnostics.csv_header()})" in text

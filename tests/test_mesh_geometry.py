@@ -282,6 +282,34 @@ def test_cached_operators_equal_a_standalone_reference(n, jitter):
     assert_operators_equal_the_reference(m)
 
 
+def bipyramid(k):
+    """k equator vertices on the unit circle and two poles, each of valence k."""
+    t = 2.0 * np.pi * np.arange(k) / k
+    ring = np.stack([np.cos(t), np.sin(t), np.zeros(k)], axis=1)
+    v = np.vstack([ring, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    a = np.arange(k)
+    b = (a + 1) % k
+    top = np.stack([a, b, np.full(k, k)], axis=1)
+    bottom = np.stack([b, a, np.full(k, k + 1)], axis=1)
+    return TriangleMesh(v, np.vstack([top, bottom]))
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["plain", "jittered"])
+@pytest.mark.parametrize("k", [8, 16, 40])
+def test_operators_at_high_valence_equal_a_standalone_reference(k, jitter):
+    # a pole's row holds k + 1 slots, where an icosphere's hold at most 7:
+    # this pins the column order of long rows and their diagonal's sum
+    m = bipyramid(k)
+    m.validate()
+    if jitter:
+        rng = np.random.default_rng(k)
+        h = reference_min_edge_length(m)
+        m = TriangleMesh(m.vertices + 0.1 * h * rng.normal(size=m.vertices.shape), m.faces)
+        m.validate()
+    assert np.diff(mesh.build_operators(m)[0].indptr).max() == k + 1
+    assert_operators_equal_the_reference(m)
+
+
 @pytest.mark.parametrize("jitter", [False, True], ids=["round", "jittered"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_face_geometry_equals_the_norm_and_cross_reference(n, jitter):
@@ -314,10 +342,20 @@ def _flip_first_face(f):
     return f
 
 
+def _collapse_first_face(f):
+    f = f.copy()
+    f[0, 1] = f[0, 0]
+    return f
+
+
 @pytest.mark.parametrize(
     "change, message",
-    [(lambda f: f[1:], "boundary"), (_flip_first_face, "directed edge")],
-    ids=["face-removed", "face-flipped"],
+    [
+        (lambda f: f[1:], "boundary"),
+        (_flip_first_face, "directed edge"),
+        (_collapse_first_face, "repeated vertex"),
+    ],
+    ids=["face-removed", "face-flipped", "vertex-repeated"],
 )
 def test_a_mesh_that_does_not_close_up_is_rejected_with_validates_error(
     change, message
@@ -345,14 +383,6 @@ def test_topology_rejects_face_indices_out_of_range():
     f[3, 2] = m.n_vertices
     with pytest.raises(ValueError, match="out of range"):
         mesh.build_operators(TriangleMesh(m.vertices, f))
-
-
-@pytest.mark.parametrize("top", [50, 2**40, 2**62], ids=["int32", "int64", "argsort"])
-def test_stable_argsort_equals_numpy(top):
-    keys = np.random.default_rng(5).integers(0, 50, size=1000)
-    order, srt = mesh._stable_argsort(keys, top)
-    assert np.array_equal(order, np.argsort(keys, kind="stable"))
-    assert np.array_equal(srt, np.sort(keys))
 
 
 def reference_step(m, dt):
@@ -1305,6 +1335,25 @@ def test_obj_rejects_quads_with_line_number(tmp_path):
     path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
     with pytest.raises(ValueError, match="line 5"):
         mesh.load_obj(path)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("v 0 1", "v record needs 3 coordinates, got 'v 0 1'"),
+        ("v 0 1 0 1", "v record needs 3 coordinates, got 'v 0 1 0 1'"),
+        ("v 0 one 0", "v record needs 3 coordinates, got 'v 0 one 0'"),
+        ("f 1 2", "only triangle faces supported"),
+        ("f 1 2/2 x", "f record needs 3 integer vertex indices, got 'f 1 2/2 x'"),
+    ],
+    ids=["v-short", "v-long", "v-non-numeric", "f-short", "f-non-numeric"],
+)
+def test_obj_names_the_line_and_layout_of_a_malformed_record(tmp_path, record, message):
+    path = tmp_path / "bad.obj"
+    path.write_text("# a comment\nv 0 0 0\nv 1 0 0\n\n" + record + "\n")
+    with pytest.raises(ValueError) as got:
+        mesh.load_obj(path)
+    assert str(got.value) == "line 5: " + message
 
 
 def test_obj_rejects_other_records_and_bad_indices(tmp_path):

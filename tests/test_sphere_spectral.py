@@ -449,6 +449,19 @@ def test_read_coeffs_csv_rejects_non_finite_rows(tmp_path, value):
         read_coeffs_csv(path)
 
 
+@pytest.mark.parametrize(
+    "row", ["2,0", "2,0,0.01,7", "2,zero,0.01", "2,0,x"],
+    ids=["short", "long", "non-numeric-order", "non-numeric-value"],
+)
+def test_read_coeffs_csv_names_the_line_and_layout_of_a_malformed_row(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"l,m,value\n0,0,3.5\n\n{row}\n")
+    want = f"line 4: expected l,m,value with integers l and m, got '{row}'"
+    with pytest.raises(ValueError) as got:
+        read_coeffs_csv(path)
+    assert str(got.value) == want
+
+
 def test_grid_csv_layout(tmp_path):
     c = np.zeros((L + 1, 2 * L + 1))
     c[0, L] = SQRT4PI
