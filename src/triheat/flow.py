@@ -95,13 +95,18 @@ def _mesh_step_ok(old: TriangleMesh, new: TriangleMesh) -> bool:
     disp = mesh_mod._row_norms((new.vertices - old.vertices).T).max()
     if disp > 0.5 * mesh_mod.min_edge_length(old):
         return False
-    # the face geometry stays cached for the next step's operators
+    # one face pass: its numbers are checked before its arrays build the
+    # operators and normals that the next step reads, so a collapsed face
+    # is never divided by
     geo = mesh_mod._faces(new)
-    if geo.dbl_areas.min() <= 0.0:
+    if geo.min_dbl_area <= 0.0:
         return False
     # the sign of the volume from the normals at hand, with no second
     # cross product: p0 . (p1 x p2) = p0 . ((p1 - p0) x (p2 - p0))
-    return geo.six_volume > 0.0
+    if not geo.six_volume > 0.0:
+        return False
+    mesh_mod._build(new, geo)
+    return True
 
 
 @dataclass(frozen=True)

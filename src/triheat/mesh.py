@@ -19,18 +19,20 @@ they replace by adding in the same order: norms add (x + y) + z, as
 np.linalg.norm(x, axis=1) does, and dot products (x + z) + y, as
 np.einsum("ij,ij->i", a, b) does on C-ordered arrays.
 
-Each mesh caches the index arrays its faces fix (:class:`_Topology`)
-and its face geometry (:class:`_FaceGeometry`). Neither lists the
-corners or the edges: the corners are the faces' columns, and the
-edges are read from the stiffness matrix's sparsity pattern
-(:func:`_edges`). The index arrays come from scipy's COO -> CSR
-conversion, which sorts each row by column: of the corner numbers at
-their vertices, and of the half-edge numbers at each directed edge and
-at its reverse (:func:`_closed_slots`).
+Each mesh caches the index arrays its faces fix (:class:`_Topology`),
+which list neither the corners nor the edges: the corners are the
+faces' columns, and the edges are read from the stiffness matrix's
+sparsity pattern (:func:`_edges`). The index arrays come from scipy's
+COO -> CSR conversion, which sorts each row by column: of the corner
+numbers at their vertices, and of the half-edge numbers at each
+directed edge and at its reverse (:func:`_closed_slots`). The face
+geometry (:class:`_FaceGeometry`) lives for one pass, which builds the
+stiffness matrix, the masses and the vertex normals together
+(:func:`_build`); the mesh keeps four numbers of it (:class:`_Measures`).
 
 scipy is imported where it is used, so only the mesh backend loads it:
-scipy.sparse in _topology, _closed_slots and build_operators, which
-build the sparse matrices, and scipy.spatial in _task_pairs, for the
+scipy.sparse in _topology, _closed_slots and _build, which build the
+sparse matrices, and scipy.spatial in _task_pairs, for the
 kd-tree joins of concentration's full pass, and in _ball_sums, for its
 nearest-point fallback. The joins run on at most two threads, started
 by the pass and joined before it returns.
@@ -82,9 +84,12 @@ class TriangleMesh:
     pattern) live in one topology entry, built on first use and handed
     on to every mesh that a step, translation or rescaling makes from
     this one, together with the memo of the last full concentration
-    pass (:func:`concentration`). The face geometry of the vertex
-    positions is built once, into ``_cache``. :meth:`forget_fields`
-    drops the cache and the topology entry, not the memo.
+    pass (:func:`concentration`). ``_cache`` holds what the vertex
+    positions fix: the operators and vertex normals, built together from
+    one pass over the face geometry, the four numbers of that geometry
+    that the step and record read, and the curvatures. No array in it
+    has a value per face. :meth:`forget_fields` drops the cache and the
+    topology entry, not the memo.
     """
 
     __slots__ = ("vertices", "faces", "time", "_cache", "_topology", "_memo")
@@ -324,12 +329,11 @@ def _topology(mesh: TriangleMesh) -> _Topology:
 class _FaceGeometry(NamedTuple):
     """Face geometry on coordinate rows: x, y and z each one contiguous row.
 
-    ``normals`` is an (F, 3) view of (3, F) rows, so ``.T`` gives the rows
-    back without a copy. Edge k, e_k, faces corner k: e0 = p2 - p1,
-    e1 = p0 - p2, e2 = p1 - p0 (``_EDGE_ENDS``). Neither the corners nor
-    the edge lengths are kept: the step reads only the least length and
-    the sign of the volume, and :func:`_edge_lengths` takes the lengths
-    again from the corners.
+    It lives for one pass (:func:`_faces`), and the mesh keeps only its
+    four numbers, as :class:`_Measures`. ``normals`` is an (F, 3)
+    view of (3, F) rows, so ``.T`` gives the rows back without a copy.
+    Edge k, e_k, faces corner k: e0 = p2 - p1, e1 = p0 - p2,
+    e2 = p1 - p0 (``_EDGE_ENDS``).
     """
 
     sq_lengths: np.ndarray  # (3, F): |e_k|^2 summed (x0 + x2) + x1
@@ -344,6 +348,18 @@ class _FaceGeometry(NamedTuple):
     # checks; p0 . (p1 x p2) = p0 . ((p1 - p0) x (p2 - p0)), and
     # signed_volume takes the left side
     six_volume: float
+    area: float  # the sum of dbl_areas, halved
+    min_dbl_area: float  # the least of dbl_areas, which the step checks
+
+
+class _Measures(NamedTuple):
+    """The numbers of a mesh's face geometry that its step and record
+    read, kept in ``_cache`` when the geometry's arrays are dropped."""
+
+    min_length: float
+    six_volume: float
+    area: float
+    min_dbl_area: float
 
 
 # the ends (a, b) of edge e_k = p_a - p_b, k = 0, 1, 2
@@ -412,16 +428,29 @@ def _corner_rows(mesh: TriangleMesh):
     return p
 
 
-def _faces(mesh: TriangleMesh) -> _FaceGeometry:
-    """Per-face geometry of this vertex set, computed once."""
-    if "faces" in mesh._cache:
-        return mesh._cache["faces"]
-    p = _corner_rows(mesh)
-    F = mesh.n_faces
-    # e[j, k]: coordinate k of edge j
-    e = np.empty((3, 3, F))
+def _edge_rows(p) -> np.ndarray:
+    """e[j, k]: coordinate k of edge j of every face, from the corner rows."""
+    e = np.empty((3, 3, p[0].shape[1]))
     for j, (a, b) in enumerate(_EDGE_ENDS):
         np.subtract(p[a], p[b], out=e[j])
+    return e
+
+
+def _corner_dots(e: np.ndarray) -> np.ndarray:
+    """(3, F): at corner k, the dot of the two edges leaving it, -e_{k+1}
+    and e_{k+2}: the sum of the plain products, negated, since rounding is
+    symmetric."""
+    dots = np.empty(e.shape[1:])
+    for k in range(3):
+        _row_dots(e[(k + 1) % 3], e[(k + 2) % 3], out=dots[k])
+    return np.negative(dots, out=dots)
+
+
+def _faces(mesh: TriangleMesh) -> _FaceGeometry:
+    """Per-face geometry of this vertex set, for one pass; the mesh keeps
+    its :class:`_Measures`."""
+    p = _corner_rows(mesh)
+    e = _edge_rows(p)
     # the squares serve both orders: norms add (x0 + x1) + x2, as
     # np.linalg.norm does, and squared lengths (x0 + x2) + x1, as np.einsum
     s = e * e
@@ -430,31 +459,38 @@ def _faces(mesh: TriangleMesh) -> _FaceGeometry:
     min_length = float(np.sqrt(norm_sq.min()))
     sq = np.add(s[:, 0], s[:, 2], out=norm_sq)
     sq += s[:, 1]
-    # the corner dots of -e_{k+1} and e_{k+2}: the sum of the plain
-    # products, negated, since rounding is symmetric
-    dots = np.empty((3, F))
-    for k in range(3):
-        _row_dots(e[(k + 1) % 3], e[(k + 2) % 3], out=dots[k])
-    np.negative(dots, out=dots)
+    del s
     # p2 - p0 is -e1 to the last bit too, so cross(e2, -e1) = cross(e1, e2)
     fn = _row_cross(e[1], e[2])
+    dbl_areas = _row_norms(fn)
     geo = _FaceGeometry(
         sq_lengths=sq,
-        dots=dots,
+        dots=_corner_dots(e),
         normals=fn.T,
-        dbl_areas=_row_norms(fn),
+        dbl_areas=dbl_areas,
         min_length=min_length,
         six_volume=float(_row_dots(p[0], fn).sum()),
+        area=float(dbl_areas.sum() / 2.0),
+        min_dbl_area=float(dbl_areas.min()),
     )
-    mesh._cache["faces"] = geo
+    mesh._cache["measures"] = _Measures(
+        geo.min_length, geo.six_volume, geo.area, geo.min_dbl_area
+    )
     return geo
+
+
+def _measures(mesh: TriangleMesh) -> _Measures:
+    """The kept numbers of the mesh's face geometry, from a face pass if
+    none has run on these vertices."""
+    if "measures" not in mesh._cache:
+        _faces(mesh)
+    return mesh._cache["measures"]
 
 
 def _edge_lengths(mesh: TriangleMesh):
     """|e0|, |e1|, |e2| of every face, summed (x0 + x1) + x2 as the face
     geometry sums them for its least length."""
-    p = _corner_rows(mesh)
-    return tuple(_row_norms(p[a] - p[b]) for a, b in _EDGE_ENDS)
+    return tuple(_row_norms(x) for x in _edge_rows(_corner_rows(mesh)))
 
 
 def build_operators(mesh: TriangleMesh):
@@ -468,13 +504,25 @@ def build_operators(mesh: TriangleMesh):
     M : ndarray, shape (n,)
         Vertex masses; M.sum() equals the surface area exactly.
     """
-    if "ops" in mesh._cache:
-        return mesh._cache["ops"]
+    if "ops" not in mesh._cache:
+        _build(mesh, _faces(mesh))
+    return mesh._cache["ops"]
+
+
+def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
+    """Outward unit normals by area-weighted face-normal averaging."""
+    if "normals" not in mesh._cache:
+        _build(mesh, _faces(mesh))
+    return mesh._cache["normals"]
+
+
+def _build(mesh: TriangleMesh, geo: _FaceGeometry) -> None:
+    """W, M and the vertex normals, into ``_cache``, from one face pass
+    on the mesh's vertices; the pass's arrays are not kept."""
     import scipy.sparse as sp
 
     n = mesh.n_vertices
     topo = _topology(mesh)
-    geo = _faces(mesh)
     dblA = geo.dbl_areas
     # cot at corner k = dot of adjacent edges / (2 * face area)
     cot = geo.dots / dblA
@@ -509,22 +557,13 @@ def build_operators(mesh: TriangleMesh):
         fA = 0.5 * np.take(dblA, ob)
         vor[:, ob] = np.where(obtuse[:, ob], fA / 2.0, fA / 4.0)
     M = topo.vertex_corners @ vor.reshape(-1)
-
     mesh._cache["ops"] = (W, M)
-    return W, M
 
-
-def vertex_normals(mesh: TriangleMesh) -> np.ndarray:
-    """Outward unit normals by area-weighted face-normal averaging."""
-    if "normals" in mesh._cache:
-        return mesh._cache["normals"]
-    n = mesh.n_vertices
-    sums = _topology(mesh).vertex_faces
-    acc = np.stack([sums @ x for x in _faces(mesh).normals.T])
+    sums = topo.vertex_faces
+    acc = np.stack([sums @ x for x in geo.normals.T])
     # C-ordered (n, 3), as the vertices the step adds them to
     nrm = np.divide(acc.T, _row_norms(acc)[:, None], out=np.empty((n, 3)))
     mesh._cache["normals"] = nrm
-    return nrm
 
 
 def mean_curvature(mesh: TriangleMesh) -> np.ndarray:
@@ -560,10 +599,11 @@ def gauss_curvature(mesh: TriangleMesh) -> np.ndarray:
         return mesh._cache["K"]
     f = mesh.faces
     defect = np.full(mesh.n_vertices, 2.0 * np.pi)
-    geo = _faces(mesh)
-    l0, l1, l2 = _edge_lengths(mesh)
+    # the corner dots of the face geometry, taken again from the corners
+    e = _edge_rows(_corner_rows(mesh))
+    l0, l1, l2 = (_row_norms(x) for x in e)
     # corner k lies between the edges e_{k+2} and -e_{k+1}
-    for k, (dot, la, lb) in enumerate(zip(geo.dots, (l2, l0, l1), (l1, l2, l0))):
+    for k, (dot, la, lb) in enumerate(zip(_corner_dots(e), (l2, l0, l1), (l1, l2, l0))):
         cosang = dot / (la * lb)
         ang = np.arccos(np.clip(cosang, -1.0, 1.0))
         np.add.at(defect, f[:, k], -ang)
@@ -589,7 +629,7 @@ def tracefree_norm_sq(mesh: TriangleMesh):
 
 
 def area(mesh: TriangleMesh) -> float:
-    return float(_faces(mesh).dbl_areas.sum() / 2.0)
+    return _measures(mesh).area
 
 
 def signed_volume(mesh: TriangleMesh) -> float:
@@ -602,7 +642,7 @@ def min_edge_length(mesh: TriangleMesh) -> float:
     # the least of the norms, not the square root of the least squared
     # length, which adds in another order, can differ in the last bit and
     # so move auto_dt
-    return _faces(mesh).min_length
+    return _measures(mesh).min_length
 
 
 def dirichlet_energy(mesh: TriangleMesh, u: np.ndarray) -> float:
@@ -649,9 +689,12 @@ def concentration(mesh: TriangleMesh, radius: float) -> float:
     if _covered(v, density, radius):
         return float(density.sum())
     a, b = _edges(mesh)
-    mids = np.take(v, a, axis=0)
-    mids += np.take(v, b, axis=0)
-    centers = np.concatenate([v, mids / 2.0])
+    n = len(v)
+    centers = np.empty((n + len(a), 3))
+    centers[:n] = v
+    # the edge midpoints, written in place: no copy of them outlives this
+    np.add(np.take(v, a, axis=0), np.take(v, b, axis=0), out=centers[n:])
+    centers[n:] /= 2.0
     alpha = _settled_max(mesh._memo.get("alpha"), v, centers, density, radius)
     if alpha is not None:
         return alpha
@@ -877,7 +920,8 @@ def _ball_sums(points, centers, density, radius: float, anchors):
     B(c) to its anchor's core. The join reaches r (1 + _ETA) + d_max,
     for the padded sums. It is split into the independent joins of
     :func:`_tasks`, which run on :func:`_workers` threads. Each reduces
-    its pairs ``_PAIR_CHUNK`` at a time into sums of its own. A chunk's
+    its pairs ``_PAIR_CHUNK`` at a time into sums of its own, and returns
+    them only at the entries it touched. A chunk's
     shell pairs are tested once against every center of their anchor,
     about 1.8 tests per pair of the chunk at 20480 faces: those tests run
     ``_PAIR_CHUNK`` at a time too, once the chunk's pair arrays are freed,
@@ -912,13 +956,16 @@ def _ball_sums(points, centers, density, radius: float, anchors):
     cnt = np.bincount(anchor, minlength=n)
     first = np.cumsum(cnt) - cnt
     d_max = np.sqrt(d2[near].max(initial=0.0))
+    anchored = bool(near.all())
+    # freed before the joins, which need none of them
+    del every, d2, near
     # both bounds moved out by a relative 1e-12 against rounding
     inner2 = max(radius * (1.0 - 1e-12) - d_max, 0.0) ** 2
     reach = (big + d_max) * (1.0 + 1e-12)
     # core, rim, rim_out, fix, fix_out of concentration's sums, back to back
     cuts = [n, 2 * n, 3 * n, 3 * n + m]
 
-    def reduce(task) -> np.ndarray:
+    def reduce(task):
         i, j, low, high = _task_pairs(points, task, reach)
         part = np.zeros(3 * n + 2 * m)
         core, rim, rim_out, fix, fix_out = np.split(part, cuts)
@@ -963,22 +1010,25 @@ def _ball_sums(points, centers, density, radius: float, anchors):
                 fix_out += np.bincount(np.take(k, out), np.take(we, out), m)
                 we *= inside
                 fix += np.bincount(k, we, m)
-        return part
+        # the sums at the entries the task touched, which a finished task's
+        # result holds until its turn to be added: adding a zero is a no-op
+        touched = np.flatnonzero(part)
+        return touched, part[touched]
 
     from concurrent.futures import ThreadPoolExecutor
 
     total = np.zeros(3 * n + 2 * m)
     total[:n] = density
     with ThreadPoolExecutor(_workers()) as pool:
-        for part in pool.map(reduce, _tasks(points, reach)):
-            total += part
+        for touched, values in pool.map(reduce, _tasks(points, reach)):
+            total[touched] += values
     core, rim, rim_out, fix, fix_out = np.split(total, cuts)
     # a center farther than the radius from every point has an empty ball
     sums = np.zeros(len(centers))
     sums[:n] = core + rim
     sums[n + order] = np.take(core, anchor) + fix
     padded = None
-    if near.all():
+    if anchored:
         padded = sums.copy()
         padded[:n] += rim_out
         padded[n + order] += fix_out

@@ -197,8 +197,8 @@ def test_gap_residual_separates_spheres_from_ellipsoids():
     assert grad_e > 0.1
 
 
-def test_gap_residual_vanishes_after_convergence():
-    traj = short_run([(2, 0, 1e-2)], 1.0, cadence=50, stop_ao_inf=1e-7)
+def test_gap_residual_vanishes_after_convergence(converged_l16_run):
+    traj = converged_l16_run
     assert traj.stop_reason == "converged"
     sup, _ = diagnostics.gap_residual(traj.final_state)
     assert sup < 1e-4

@@ -221,9 +221,8 @@ def test_mesh_run_does_not_converge_through_the_clamp():
     assert traj.final_state.time == 1e-3
 
 
-def test_perturbed_run_converges_to_a_sphere():
-    st = mode_state(1.0, [(2, 0, 1e-2)])
-    traj = flow.run(st, 1.0, stop_ao_inf=1e-7, cadence=50)
+def test_perturbed_run_converges_to_a_sphere(converged_l16_run):
+    traj = converged_l16_run
     assert traj.stop_reason == "converged"
     fin = traj.final_state
     assert np.abs(fin.values - fin.mean_radius()).max() <= 1e-6

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -1122,22 +1123,100 @@ def owned_bytes(entry, skip=None) -> int:
     return sum(owners.values())
 
 
-def test_cached_face_geometry_keeps_no_corner():
-    m = shapes.perturbed_sphere_mesh(3, 1.0, THREE_MODES)
+def cached_arrays(m):
+    """The arrays in a mesh's cache, a sparse matrix as one of its shape."""
+    found = []
+
+    def add(x):
+        if isinstance(x, tuple):
+            for y in x:
+                add(y)
+        elif sp.issparse(x) or isinstance(x, np.ndarray):
+            found.append(x)
+
+    add(tuple(m._cache.values()))
+    return found
+
+
+def test_a_stepped_or_recorded_mesh_holds_no_per_face_array():
+    """At 20480 faces: the face geometry's 10 doubles a face (1.56 MiB)
+    live only for the pass that builds W, M and the normals. W's data
+    holds a value per slot of its pattern, which the faces fix; as a
+    matrix it is n by n."""
+    m = shapes.perturbed_sphere_mesh(5, 1.0, [(2, 0, 0.05)])
     m.validate()
-    assert owned_bytes(m._cache["faces"]) <= 10 * 8 * m.n_faces
+    new = flow.step_mesh(m, flow.auto_dt(m))
+    assert flow._mesh_step_ok(m, new)
+    # the step's face pass built the next step's operators and normals
+    assert {"ops", "normals", "measures"} <= set(new._cache)
+    diagnostics.compute_record(new)
+    for state in (m, new):
+        sizes = [x.shape for x in cached_arrays(state)]
+        assert sizes and all(max(size) < m.n_faces for size in sizes), sizes
 
 
 def test_a_mesh_owns_a_bounded_number_of_bytes_per_face():
-    """The topology entry and the face cache, the faces array excluded,
-    at 20480 faces: 150 and 80 bytes a face (2.93 and 1.56 MiB). The
-    corners and the edges in the entry would add 48 bytes a face, the
-    first corner's coordinates and the edge lengths in the cache 48."""
+    """The topology entry, the faces array excluded, at 20480 faces: 150
+    bytes a face (2.93 MiB). The corners and the edges in the entry
+    would add 48 bytes a face. Of its face geometry a validated mesh
+    keeps four numbers and no array."""
     m = shapes.icosphere(5)
     m.validate()
     topo = mesh._topology(m)
     assert owned_bytes(topo, skip=m.faces) <= 152 * m.n_faces
-    assert owned_bytes(mesh._faces(m)) <= 80 * m.n_faces
+    assert set(m._cache) == {"measures"}
+    assert owned_bytes(m._cache.values()) == 0
+
+
+def octahedron():
+    """The unit octahedron, oriented outward, face 0 on the x, y and z
+    vertices 0, 2 and 4."""
+    v = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+    faces = []
+    for sx, sy, sz in np.ndindex(2, 2, 2):
+        x, y, z = sx, 2 + sy, 4 + sz
+        faces.append([x, y, z] if (sx + sy + sz) % 2 == 0 else [x, z, y])
+    return TriangleMesh(v.astype(float), faces)
+
+
+def test_a_step_that_collapses_a_face_is_rejected_before_its_operators():
+    # the z vertex 1/64 above the midpoint of the x and y vertices, and
+    # then on it: face 0's corners lie on one line, in exact arithmetic
+    old = octahedron()
+    v = old.vertices.copy()
+    v[4] = (0.5, 0.5, 1.0 / 64.0)
+    old = TriangleMesh(v, old.faces)
+    old.validate()
+    v = v.copy()
+    v[4, 2] = 0.0
+    new = old._moved(v, 1e-9)
+    assert 1.0 / 64.0 < 0.5 * mesh.min_edge_length(old)
+    # the cotangents of a zero-area face divide by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not flow._mesh_step_ok(old, new)
+    assert mesh._measures(new).min_dbl_area == 0.0
+    assert "ops" not in new._cache
+
+
+def test_each_accepted_step_makes_one_face_pass(monkeypatch):
+    passes = []
+    faces = mesh._faces
+
+    def counted(m):
+        passes.append(m)
+        return faces(m)
+
+    monkeypatch.setattr(mesh, "_faces", counted)
+    m = shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.05)])
+    dt = flow.auto_dt(m)
+    counts = []
+    for steps in (3, 6):
+        passes.clear()
+        traj = flow.run(fresh_copy(m), steps * dt, dt=dt, cadence=100)
+        assert traj.meta["steps"] == steps
+        counts.append(len(passes))
+    assert counts[1] - counts[0] == 3
 
 
 def test_exact_sums_do_not_depend_on_the_centers_beside_them(monkeypatch):
