@@ -206,7 +206,9 @@ def run(
     """
     backend = diagnostics._backend(state)
     if backend.name == "mesh":
-        state.validate()
+        # validation's face pass builds the first state's operators and
+        # normals, which its record and first step read
+        mesh_mod._build(state, mesh_mod._validated_faces(state))
         step, step_ok = step_mesh, _mesh_step_ok
         unclamped = lambda m: mesh_mod.tracefree_norm_sq(m)[1] == 0
     else:

@@ -135,41 +135,7 @@ class TriangleMesh:
         corner dots, areas and volume), no zero-area face, and a positive
         enclosed volume (faces oriented outward).
         """
-        v, f = self.vertices, self.faces
-        if not np.all(np.isfinite(v)):
-            raise ValueError("mesh has non-finite vertex positions")
-        if f.min(initial=0) < 0 or f.max(initial=-1) >= len(v):
-            raise ValueError("face indices out of range")
-        if np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2]) or np.any(
-            f[:, 2] == f[:, 0]
-        ):
-            raise ValueError("mesh has degenerate faces (repeated vertex)")
-        used = np.zeros(len(v), dtype=bool)
-        used[f.ravel()] = True
-        if not used.all():
-            raise ValueError(f"{int((~used).sum())} vertices are not referenced")
-        # the topology pairs each directed edge with its reverse, and
-        # raises when the edges repeat or do not close up
-        topo = _topology(self)
-        # W has a slot for each vertex and for each directed edge, and
-        # every undirected edge is two directed ones
-        euler = len(v) - (len(topo.indices) - len(v)) // 2 + len(f)
-        if euler != 2:
-            raise ValueError(f"Euler characteristic {euler}, expected 2 (sphere)")
-        # large coordinates overflow: the squared areas are fourth powers
-        # of them, the volume terms cubes
-        with np.errstate(over="ignore", invalid="ignore"):
-            geo = _faces(self)
-            volume = signed_volume(self)
-        fields = (geo.sq_lengths, geo.dots, geo.dbl_areas, volume)
-        if not all(np.isfinite(x).all() for x in fields):
-            raise ValueError("mesh face geometry overflows to a non-finite value")
-        if geo.dbl_areas.min() <= 0.0:
-            raise ValueError("mesh has zero-area faces")
-        if volume <= 0.0:
-            raise ValueError(
-                "mesh faces are oriented inward; the enclosed volume is not positive"
-            )
+        _validated_faces(self)
 
     def forget_fields(self) -> None:
         """Drop the cached geometry, operators and curvatures, and this
@@ -476,6 +442,47 @@ def _faces(mesh: TriangleMesh) -> _FaceGeometry:
     mesh._cache["measures"] = _Measures(
         geo.min_length, geo.six_volume, geo.area, geo.min_dbl_area
     )
+    return geo
+
+
+def _validated_faces(mesh: TriangleMesh) -> _FaceGeometry:
+    """:meth:`TriangleMesh.validate`, returning the face pass it checked,
+    from which :func:`_build` can make the operators with no second pass."""
+    v, f = mesh.vertices, mesh.faces
+    if not np.all(np.isfinite(v)):
+        raise ValueError("mesh has non-finite vertex positions")
+    if f.min(initial=0) < 0 or f.max(initial=-1) >= len(v):
+        raise ValueError("face indices out of range")
+    if np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2]) or np.any(
+        f[:, 2] == f[:, 0]
+    ):
+        raise ValueError("mesh has degenerate faces (repeated vertex)")
+    used = np.zeros(len(v), dtype=bool)
+    used[f.ravel()] = True
+    if not used.all():
+        raise ValueError(f"{int((~used).sum())} vertices are not referenced")
+    # the topology pairs each directed edge with its reverse, and
+    # raises when the edges repeat or do not close up
+    topo = _topology(mesh)
+    # W has a slot for each vertex and for each directed edge, and
+    # every undirected edge is two directed ones
+    euler = len(v) - (len(topo.indices) - len(v)) // 2 + len(f)
+    if euler != 2:
+        raise ValueError(f"Euler characteristic {euler}, expected 2 (sphere)")
+    # large coordinates overflow: the squared areas are fourth powers
+    # of them, the volume terms cubes
+    with np.errstate(over="ignore", invalid="ignore"):
+        geo = _faces(mesh)
+        volume = signed_volume(mesh)
+    fields = (geo.sq_lengths, geo.dots, geo.dbl_areas, volume)
+    if not all(np.isfinite(x).all() for x in fields):
+        raise ValueError("mesh face geometry overflows to a non-finite value")
+    if geo.dbl_areas.min() <= 0.0:
+        raise ValueError("mesh has zero-area faces")
+    if volume <= 0.0:
+        raise ValueError(
+            "mesh faces are oriented inward; the enclosed volume is not positive"
+        )
     return geo
 
 

@@ -52,8 +52,8 @@ __all__ = [
 
 _SQRT4PI = np.sqrt(4.0 * np.pi)
 
-# Centers per chunk of the ring-window ball sums, in rings' worth: a
-# chunk's temporaries hold a few values per (center, kept point ring) pair.
+# Center rings per block of the ring-window bounds: a block's temporaries
+# hold a window row of nlon values per (center ring, kept point ring) pair.
 _RING_BLOCK = 8
 
 # Zone decisions stay this fraction of rho_max^2 away from r^2, about
@@ -210,30 +210,63 @@ def _shape(state: RadialGraphState) -> dict:
     Phi, sqPhi = geo["Phi"], geo["sqPhi"]
     S = tr.sin_t[:, None]
     S2 = S * S
-
-    A_tt = -(rho * h_tt - 2.0 * r_t * r_t - rho * rho) / sqPhi
-    A_tp = -(rho * h_tp - 2.0 * r_t * r_p) / sqPhi
-    A_pp = -(rho * h_pp - 2.0 * r_p * r_p - rho * rho * S2) / sqPhi
+    # terms are summed in place into the first term's buffer, left to
+    # right: another order would change the last bits, which the golden
+    # records pin
+    rr = rho * rho
+    A_tt = rho * h_tt
+    A_tt -= 2.0 * r_t * r_t
+    A_tt -= rr
+    A_tp = rho * h_tp
+    A_tp -= 2.0 * r_t * r_p
+    A_pp = rho * h_pp
+    A_pp -= 2.0 * r_p * r_p
+    A_pp -= rr * S2
+    for A in (A_tt, A_tp, A_pp):  # -(...) / sqPhi
+        np.negative(A, out=A)
+        A /= sqPhi
 
     # inverse metric via g^{ij} = rho^{-2} (sigma^{ij} - Phi^{-1} grad^i rho grad^j rho)
     gt = r_t
     gp = r_p / S2
-    ir2 = 1.0 / (rho * rho)
-    gi_tt = ir2 * (1.0 - gt * gt / Phi)
-    gi_tp = ir2 * (-gt * gp / Phi)
-    gi_pp = ir2 * (1.0 / S2 - gp * gp / Phi)
+    ir2 = np.divide(1.0, rr, out=rr)
+    gi_tt = gt * gt
+    gi_tp = -gt * gp
+    gi_pp = gp * gp
+    for g in (gi_tt, gi_tp, gi_pp):
+        g /= Phi
+    np.subtract(1.0, gi_tt, out=gi_tt)
+    np.subtract(1.0 / S2, gi_pp, out=gi_pp)
+    for g in (gi_tt, gi_tp, gi_pp):
+        g *= ir2
+    del gp, ir2, rr
 
-    Wtt = gi_tt * A_tt + gi_tp * A_tp
-    Wtp = gi_tt * A_tp + gi_tp * A_pp
-    Wpt = gi_tp * A_tt + gi_pp * A_tp
-    Wpp = gi_tp * A_tp + gi_pp * A_pp
+    Wtt = gi_tt * A_tt
+    Wtt += gi_tp * A_tp
+    Wtp = gi_tt * A_tp
+    Wtp += gi_tp * A_pp
+    Wpt = gi_tp * A_tt
+    Wpt += gi_pp * A_tp
+    Wpp = gi_tp * A_tp
+    Wpp += gi_pp * A_pp
+    del A_tt, A_tp, A_pp
 
     H = Wtt + Wpp
-    K = Wtt * Wpp - Wtp * Wpt
-    normA2 = Wtt * Wtt + 2.0 * Wtp * Wpt + Wpp * Wpp
+    cross = Wtp * Wpt
+    K = Wtt * Wpp
+    K -= cross
+    # 2 Wtp Wpt, multiplied as (2 Wtp) Wpt
+    np.multiply(2.0, Wtp, out=cross)
+    cross *= Wpt
+    normA2 = Wtt * Wtt
+    normA2 += cross
+    normA2 += np.multiply(Wpp, Wpp, out=Wtp)
     # g^{-1} A* = W - (H/2) I, whose squared norm is (k1 - k2)^2 / 2; taken
     # componentwise, not as |A|^2 - H^2/2, which cancels near round spheres
-    normAo2 = 0.5 * (Wtt - Wpp) ** 2 + 2.0 * Wtp * Wpt
+    normAo2 = np.subtract(Wtt, Wpp, out=Wpt)
+    np.square(normAo2, out=normAo2)
+    normAo2 *= 0.5
+    normAo2 += cross
 
     geo.update(
         gi_tt=gi_tt,
@@ -327,20 +360,33 @@ def _lap_from_coeffs(state: RadialGraphState, coeffs: np.ndarray) -> np.ndarray:
         geo["a"] = (a, *tr.gradient_values(tr.analyze(a - a.flat[0])))
     a, a_t, a_p = geo["a"]
 
-    pair_rho_u = geo["r_t"] * u_t + geo["r_p"] * u_p / S2
-    cfun = pair_rho_u / (geo["rho"] * geo["sqPhi"])
-    cc = tr.analyze(cfun - cfun.flat[0])
+    # the terms go through one buffer and are added left to right as in
+    # the formulas below: another order would change the last bits, which
+    # the golden records pin
+    t = np.empty_like(u_t)
+
+    def term(x, y, over_s2=False):
+        np.multiply(x, y, out=t)
+        if over_s2:
+            np.divide(t, S2, out=t)
+        return t
+
+    # cfun = (r_t u_t + r_p u_p / S2) / (rho sqPhi)
+    cfun = geo["r_t"] * u_t
+    cfun += term(geo["r_p"], u_p, True)
+    cfun /= term(geo["rho"], geo["sqPhi"])
+    cc = tr.analyze(np.subtract(cfun, cfun.flat[0], out=t))
     c_t, c_p = tr.gradient_values(cc)
 
-    num = (
-        a * lap_u
-        + a_t * u_t
-        + a_p * u_p / S2
-        - cfun * geo["lap_rho"]
-        - c_t * geo["r_t"]
-        - c_p * geo["r_p"] / S2
-    )
-    return num / geo["J"]
+    # a lap_u + a_t u_t + a_p u_p / S2 - cfun lap_rho - c_t r_t - c_p r_p / S2
+    num = a * lap_u
+    num += term(a_t, u_t)
+    num += term(a_p, u_p, True)
+    num -= term(cfun, geo["lap_rho"])
+    num -= term(c_t, geo["r_t"])
+    num -= term(c_p, geo["r_p"], True)
+    num /= geo["J"]
+    return num
 
 
 def induced_laplacian(state: RadialGraphState, coeffs) -> np.ndarray:
@@ -427,19 +473,23 @@ def node_cloud(state: RadialGraphState):
         Quadrature weight times area density per node, so that
         ``weights @ f.ravel()`` integrates a grid field over the surface.
     """
+    xyz, weights = _nodes(state)
+    return xyz.T.copy(), weights
+
+
+def _nodes(state: RadialGraphState):
+    """The embedded grid nodes as x, y and z rows, shape (3, nlat * nlon),
+    and their weights: ``node_cloud``'s points are these rows transposed."""
     tr = transform_for(state.grid)
-    geo = _geometry(state)
-    st = tr.sin_t[:, None]
-    ct = np.cos(tr.theta)[:, None]
-    cp = np.cos(tr.phi)[None, :]
-    sp = np.sin(tr.phi)[None, :]
     rho = state.values
-    pts = np.stack(
-        [(rho * st * cp).ravel(), (rho * st * sp).ravel(), (rho * ct).ravel()],
-        axis=1,
-    )
-    w2d = tr.area_weights[:, None] * np.ones_like(rho)
-    return pts, (w2d * geo["J"]).ravel()
+    xyz = np.empty((3,) + rho.shape)
+    # rho sin(theta) cos(phi), rho sin(theta) sin(phi), rho cos(theta)
+    np.multiply(rho, tr.sin_t[:, None], out=xyz[0])
+    np.multiply(xyz[0], np.sin(tr.phi), out=xyz[1])
+    xyz[0] *= np.cos(tr.phi)
+    np.multiply(rho, np.cos(tr.theta)[:, None], out=xyz[2])
+    weights = tr.area_weights[:, None] * _geometry(state)["J"]
+    return xyz.reshape(3, -1), weights.ravel()
 
 
 def concentration(state: RadialGraphState, radius: float) -> float:
@@ -452,22 +502,24 @@ def concentration(state: RadialGraphState, radius: float) -> float:
     - bound: every node gets a cheap upper bound on its ball sum, from
       one window width per pair of latitude rings;
     - settle: exact ball sums are taken in decreasing order of the
-      bound, and stop once no bound left can reach the best sum.
+      bound, one ring's worth of centers at a time, and stop once no
+      bound left can reach the best sum.
 
-    At L=64 and r=0.25, 342 to 671 of the 19208 nodes are settled on
-    rotations of the three-mode benchmark state, and 392 on a round
-    sphere. The radius must be
-    positive (infinity is allowed); a ball that reaches across the
+    At L=64 and r=0.25, 342 to 806 of the 19208 nodes are settled on the
+    rotations of seeds 1 to 20 of the three-mode benchmark state, 368 on
+    the state itself and 392 on a round sphere, in chunks of 196 centers:
+    the same counts as chunks of eight rings' worth, since the best sum
+    is found in the first ring's worth on these states. The radius must
+    be positive (infinity is allowed); a ball that reaches across the
     bounding box of the nodes returns the total.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
-    pts, wts = node_cloud(state)
-    density = curvature_bundle(state).norm_a_sq.ravel() * wts
-    xyz = pts.T.copy()
+    xyz, density = _nodes(state)
+    density *= curvature_bundle(state).norm_a_sq.ravel()
     if radius >= np.linalg.norm(xyz.max(axis=1) - xyz.min(axis=1)):
         return float(density.sum())
-    return _RingBalls(state.grid, state.values, pts, density, radius).max()[0]
+    return _RingBalls(state.grid, state.values, xyz.T, density, radius).max()[0]
 
 
 class _RingBalls:
@@ -490,9 +542,10 @@ class _RingBalls:
     d_in and d_out come from a cos(2 pi d / nlon) table by searchsorted;
     both zone tests keep a margin scaled to rho_max^2. A center's sum
     adds its rows in ring order, so it is the same bits whichever
-    centers share its chunk. Centers go in chunks of ``_RING_BLOCK``
-    rings' worth, and band nodes in spans of about as many nodes as a
-    chunk has rows, so memory stays bounded at any bandlimit and radius.
+    centers share its chunk. ``max`` settles one ring's worth of centers
+    (nlon) at a time, ``bounds`` takes ``_RING_BLOCK`` center rings at a
+    time, and band nodes go in spans of about as many nodes as a chunk
+    has rows, so memory stays bounded at any bandlimit and radius.
 
     The upper bounds replace the radius of the center by its ring's
     range: d_out <= D_ab for every center on ring a, where D_ab is the
@@ -508,7 +561,9 @@ class _RingBalls:
         self.n = n
         self.rho = rho.ravel()
         self.w = density.ravel()
-        self.x, self.y, self.z = pts.T.copy()
+        # rows of the (N, 3) points: views, contiguous when pts is itself
+        # the transpose of (3, N) rows, as concentration passes them
+        self.x, self.y, self.z = pts.T
         self.r2 = radius * radius
         self.margin = _MARGIN * float(rho.max()) ** 2
         self.lo, self.hi = rho.min(axis=1), rho.max(axis=1)
@@ -534,8 +589,11 @@ class _RingBalls:
         # the ring laps times, so a cyclic window is one difference
         n = self.n
         w = w.reshape(-1, n)
-        prefix = np.zeros((len(w), laps * n + 1))
-        np.cumsum(np.tile(w, laps), axis=1, out=prefix[:, 1:])
+        prefix = np.empty((len(w), laps * n + 1))
+        prefix[:, 0] = 0.0
+        for k in range(laps):
+            prefix[:, 1 + k * n : 1 + (k + 1) * n] = w
+        np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
         return prefix
 
     def _reach(self, g, cc, ss):
@@ -575,16 +633,18 @@ class _RingBalls:
         for a0 in range(0, len(lo), _RING_BLOCK):
             a1 = min(a0 + _RING_BLOCK, len(lo))
             p = slice(first[a0], first[a1])
-            win = runs[pb[p], stop[p]] - runs[pb[p], start[p]]
+            win = runs[pb[p], stop[p]]
+            win -= runs[pb[p], start[p]]
             ub[a0:a1] = np.add.reduceat(win, first[a0:a1] - first[a0])
         return ub.ravel()
 
     def max(self):
         """The largest ball sum and the number of centers settled for it.
 
-        Centers are settled in decreasing order of their bounds: first one
-        ring's worth, then every center whose bound still reaches the best
-        sum so far, a chunk at a time, until no bound left can exceed it.
+        Centers are settled in decreasing order of their bounds, one ring's
+        worth (nlon) at a time: first the nlon largest bounds, then, of the
+        centers whose bound still reaches the best sum so far, the nlon
+        largest, until no bound left can exceed it.
         """
         ub = self.bounds()
         settled = np.zeros(ub.size, dtype=bool)
@@ -594,7 +654,7 @@ class _RingBalls:
             best = max(best, float(self.settle(chunk).max()))
             settled[chunk] = True
             left = np.flatnonzero(~settled & (ub >= best - self.slack))
-            chunk = left[np.argsort(-ub[left])[: _RING_BLOCK * self.n]]
+            chunk = left[np.argsort(-ub[left])[: self.n]]
         return best, int(settled.sum())
 
     def settle(self, centers) -> np.ndarray:

@@ -8,6 +8,7 @@ reversal of recorded trajectories.
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from oracles import (
     spherical_cap_area,
     tree_ball_max,
 )
-from triheat import diagnostics, flow, radial, shapes
+from triheat import diagnostics, flow, mesh, radial, shapes
 from triheat.radial import RadialGraphState
 from triheat.spherical import GridSpec, transform_for
 
@@ -356,6 +357,36 @@ def test_audit_needs_two_records():
 
 
 # ---------------------------------------------------------------------------
+# mesh records under refinement
+# ---------------------------------------------------------------------------
+
+
+def test_mesh_energies_converge_to_the_spectral_record_under_refinement():
+    """The 2,0,0.05 icospheres at 3, 4 and 5 subdivisions against the
+    spectral L=64 record of the shape: area, volume and willmore errors
+    fall about 4x per level (second order), the ao2 and ao_inf errors
+    fall at each level. No mesh alpha pass runs."""
+    modes = [(2, 0, 0.05)]
+    ref = diagnostics.compute_record(
+        shapes.perturbed_sphere_state(GridSpec.for_bandlimit(64), 1.0, modes)
+    )
+    errors = {name: [] for name in ("area", "volume", "willmore", "ao2", "ao_inf")}
+    for subdivisions in (3, 4, 5):
+        m = shapes.perturbed_sphere_mesh(subdivisions, 1.0, modes)
+        got = diagnostics.energies(m)
+        got["ao_inf"] = float(np.sqrt(mesh.tracefree_norm_sq(m)[0].max()))
+        for name, errs in errors.items():
+            want = getattr(ref, name)
+            errs.append(abs(got[name] - want) / want)
+    for name in ("area", "volume", "willmore"):
+        e = errors[name]
+        assert e[0] >= 3.5 * e[1] and e[1] >= 3.5 * e[2], (name, e)
+    for name in ("ao2", "ao_inf"):
+        e = errors[name]
+        assert e[0] > e[1] > e[2], (name, e)
+
+
+# ---------------------------------------------------------------------------
 # concentration (spectral backend)
 # ---------------------------------------------------------------------------
 
@@ -512,6 +543,25 @@ def test_ring_bounds_leave_few_centers_to_settle_at_l64(modes):
     assert settled < 0.1 * pts.shape[0]
 
 
+def test_spectral_concentration_has_a_small_working_set_at_l128():
+    """Alpha's traced peak over its entry, the state's fields cached:
+    one ring's worth of centers per settle chunk, the node rows built
+    once and the prefix tables filled in place keep it near 8 MiB."""
+    st = shapes.perturbed_sphere_state(
+        GridSpec.for_bandlimit(128), 1.0, [(2, 0, 0.05), (3, 1, 0.02), (5, -2, 0.01)]
+    )
+    # the fields, and what a first call in a process allocates once
+    alpha = radial.concentration(st, 0.25)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert radial.concentration(st, 0.25) == alpha
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # invariance of spectral records under rotations of the surface
 # ---------------------------------------------------------------------------
@@ -612,6 +662,25 @@ def test_sampled_record_fields_converge_under_rotation(seed):
         for name in ("ao2", "willmore"):
             a, b = getattr(rec, name), getattr(turned, name)
             assert abs(b - a) <= ROTATION_TOLERANCES[name] * abs(a), (name, a, b)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spectral_concentration_settles_the_largest_ring_sum(seed):
+    """On rotations of the three-mode state at L=64, the node rows that
+    concentration builds are node_cloud's points transposed, and both are
+    the plain products rho sin(theta) cos(phi), ... to the bit; alpha is
+    the largest of every node's ring ball sum, to the bit."""
+    rotation = Rotation.random(random_state=np.random.default_rng(seed))
+    st = shapes.perturbed_sphere_state(
+        GridSpec.for_bandlimit(64), 1.0, rotated_modes(ROTATION_MODES, rotation)
+    )
+    pts, wts = radial.node_cloud(st)
+    rows = radial._nodes(st)[0]
+    assert rows.tobytes() == pts.T.tobytes()
+    assert pts.tobytes() == grid_points(st.grid, st.values).tobytes()
+    density = radial.curvature_bundle(st).norm_a_sq.ravel() * wts
+    sums = ring_ball_sums(st.grid, st.values, pts, density, 0.25)
+    assert radial.concentration(st, 0.25) == sums.max()
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,28 @@ def test_a_mesh_run_builds_its_topology_once(monkeypatch):
         assert made._topology is topo
 
 
+def test_a_mesh_run_takes_one_face_pass_per_state(monkeypatch):
+    """Validation's face pass builds the first state's operators and
+    normals, so its record and first step take no second pass; each
+    stepped mesh takes the one of its step check."""
+    make = lambda: shapes.perturbed_sphere_mesh(2, 1.0, [(2, 0, 0.1)])
+    # dt from another copy: auto_dt reads the least edge length of a pass
+    dt = flow.auto_dt(make())
+    first = make()
+    passes = []
+    inner = mesh._faces
+
+    def spy(m):
+        passes.append(m)
+        return inner(m)
+
+    monkeypatch.setattr(mesh, "_faces", spy)
+    traj = flow.run(first, 3 * dt, dt=dt, cadence=1)
+    assert traj.meta["steps"] == 3
+    assert sum(m is first for m in passes) == 1
+    assert [m.time for m in passes[1:]] == [e.time for e in traj.entries[1:]]
+
+
 # ---------------------------------------------------------------------------
 # run memory: a recorded state drops its cached fields once stepped past
 # ---------------------------------------------------------------------------
