@@ -451,19 +451,14 @@ def _validated_faces(mesh: TriangleMesh) -> _FaceGeometry:
     v, f = mesh.vertices, mesh.faces
     if not np.all(np.isfinite(v)):
         raise ValueError("mesh has non-finite vertex positions")
-    if f.min(initial=0) < 0 or f.max(initial=-1) >= len(v):
-        raise ValueError("face indices out of range")
-    if np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2]) or np.any(
-        f[:, 2] == f[:, 0]
-    ):
-        raise ValueError("mesh has degenerate faces (repeated vertex)")
+    # the topology checks the index range, which the gather below needs,
+    # and raises when a face repeats a vertex or the edges repeat or do
+    # not close up
+    topo = _topology(mesh)
     used = np.zeros(len(v), dtype=bool)
     used[f.ravel()] = True
     if not used.all():
         raise ValueError(f"{int((~used).sum())} vertices are not referenced")
-    # the topology pairs each directed edge with its reverse, and
-    # raises when the edges repeat or do not close up
-    topo = _topology(mesh)
     # W has a slot for each vertex and for each directed edge, and
     # every undirected edge is two directed ones
     euler = len(v) - (len(topo.indices) - len(v)) // 2 + len(f)

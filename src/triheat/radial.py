@@ -210,63 +210,29 @@ def _shape(state: RadialGraphState) -> dict:
     Phi, sqPhi = geo["Phi"], geo["sqPhi"]
     S = tr.sin_t[:, None]
     S2 = S * S
-    # terms are summed in place into the first term's buffer, left to
-    # right: another order would change the last bits, which the golden
-    # records pin
-    rr = rho * rho
-    A_tt = rho * h_tt
-    A_tt -= 2.0 * r_t * r_t
-    A_tt -= rr
-    A_tp = rho * h_tp
-    A_tp -= 2.0 * r_t * r_p
-    A_pp = rho * h_pp
-    A_pp -= 2.0 * r_p * r_p
-    A_pp -= rr * S2
-    for A in (A_tt, A_tp, A_pp):  # -(...) / sqPhi
-        np.negative(A, out=A)
-        A /= sqPhi
+    A_tt = -(rho * h_tt - 2.0 * r_t * r_t - rho * rho) / sqPhi
+    A_tp = -(rho * h_tp - 2.0 * r_t * r_p) / sqPhi
+    A_pp = -(rho * h_pp - 2.0 * r_p * r_p - rho * rho * S2) / sqPhi
 
     # inverse metric via g^{ij} = rho^{-2} (sigma^{ij} - Phi^{-1} grad^i rho grad^j rho)
     gt = r_t
     gp = r_p / S2
-    ir2 = np.divide(1.0, rr, out=rr)
-    gi_tt = gt * gt
-    gi_tp = -gt * gp
-    gi_pp = gp * gp
-    for g in (gi_tt, gi_tp, gi_pp):
-        g /= Phi
-    np.subtract(1.0, gi_tt, out=gi_tt)
-    np.subtract(1.0 / S2, gi_pp, out=gi_pp)
-    for g in (gi_tt, gi_tp, gi_pp):
-        g *= ir2
-    del gp, ir2, rr
+    ir2 = 1.0 / (rho * rho)
+    gi_tt = ir2 * (1.0 - gt * gt / Phi)
+    gi_tp = ir2 * (-gt * gp / Phi)
+    gi_pp = ir2 * (1.0 / S2 - gp * gp / Phi)
 
-    Wtt = gi_tt * A_tt
-    Wtt += gi_tp * A_tp
-    Wtp = gi_tt * A_tp
-    Wtp += gi_tp * A_pp
-    Wpt = gi_tp * A_tt
-    Wpt += gi_pp * A_tp
-    Wpp = gi_tp * A_tp
-    Wpp += gi_pp * A_pp
-    del A_tt, A_tp, A_pp
+    Wtt = gi_tt * A_tt + gi_tp * A_tp
+    Wtp = gi_tt * A_tp + gi_tp * A_pp
+    Wpt = gi_tp * A_tt + gi_pp * A_tp
+    Wpp = gi_tp * A_tp + gi_pp * A_pp
 
     H = Wtt + Wpp
-    cross = Wtp * Wpt
-    K = Wtt * Wpp
-    K -= cross
-    # 2 Wtp Wpt, multiplied as (2 Wtp) Wpt
-    np.multiply(2.0, Wtp, out=cross)
-    cross *= Wpt
-    normA2 = Wtt * Wtt
-    normA2 += cross
-    normA2 += np.multiply(Wpp, Wpp, out=Wtp)
+    K = Wtt * Wpp - Wtp * Wpt
+    normA2 = Wtt * Wtt + 2.0 * Wtp * Wpt + Wpp * Wpp
     # g^{-1} A* = W - (H/2) I, whose squared norm is (k1 - k2)^2 / 2; taken
     # componentwise, not as |A|^2 - H^2/2, which cancels near round spheres
-    normAo2 = np.subtract(Wtt, Wpp, out=Wpt)
-    np.square(normAo2, out=normAo2)
-    normAo2 *= 0.5
-    normAo2 += cross
+    normAo2 = 0.5 * (Wtt - Wpp) ** 2 + 2.0 * Wtp * Wpt
 
     geo.update(
         gi_tt=gi_tt,
@@ -482,12 +448,9 @@ def _nodes(state: RadialGraphState):
     and their weights: ``node_cloud``'s points are these rows transposed."""
     tr = transform_for(state.grid)
     rho = state.values
-    xyz = np.empty((3,) + rho.shape)
-    # rho sin(theta) cos(phi), rho sin(theta) sin(phi), rho cos(theta)
-    np.multiply(rho, tr.sin_t[:, None], out=xyz[0])
-    np.multiply(xyz[0], np.sin(tr.phi), out=xyz[1])
-    xyz[0] *= np.cos(tr.phi)
-    np.multiply(rho, np.cos(tr.theta)[:, None], out=xyz[2])
+    st = tr.sin_t[:, None]
+    ct = np.cos(tr.theta)[:, None]
+    xyz = np.stack([rho * st * np.cos(tr.phi), rho * st * np.sin(tr.phi), rho * ct])
     weights = tr.area_weights[:, None] * _geometry(state)["J"]
     return xyz.reshape(3, -1), weights.ravel()
 

@@ -136,8 +136,9 @@ def parse_semiaxes(text: str):
     if len(parts) != 3:
         raise ValueError("semiaxes must be 'a,b,c'")
     axes = tuple(float(p) for p in parts)
-    if not all(a > 0.0 for a in axes):
-        raise ValueError("semiaxes must be positive")
+    # an infinite semiaxis is no ellipsoid: bandlimited, it is a cylinder
+    if not all(0.0 < a < np.inf for a in axes):
+        raise ValueError("semiaxes must be positive and finite")
     return axes
 
 

@@ -49,9 +49,10 @@ def test_parse_semiaxes():
         shapes.parse_semiaxes("1,2")
 
 
-def test_parse_semiaxes_rejects_nan():
+@pytest.mark.parametrize("text", ["1,nan,1", "1,1,inf", "1e400,1,1"])
+def test_parse_semiaxes_rejects_nan(text):
     with pytest.raises(ValueError, match="positive"):
-        shapes.parse_semiaxes("1,nan,1")
+        shapes.parse_semiaxes(text)
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +558,15 @@ def test_simulate_usage_failures(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 1
     capsys.readouterr()
     assert main(["unknown-command"]) == 1
+
+
+def test_simulate_rejects_an_infinite_semiaxis_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["simulate", "--set", f"out.dir={out}", "--set", "shape.kind=ellipsoid",
+               "--set", "shape.semiaxes=1,1,inf", "--set", "t_end=1e-6"])
+    assert rc == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_rejects_an_inward_mesh(tmp_path, capsys):
